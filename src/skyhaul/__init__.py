@@ -10,17 +10,13 @@ from .association import (AssociationMatrix, FeasibilityReport,
                           ProblemInstance, check_feasible, empty_association,
                           objective, solve_greedy)
 from .channel import (ChannelParams, CoverageError, LinkTable, RadioParams,
-                      build_link_table, coverage_radius, p_los, path_loss_db,
-                      received_power_w, sinr_linear)
+                      build_link_table, coverage_radius, p_los, path_loss_db)
 from .config import ConfigError, ScenarioConfig, load_config, table1_urban
-from .deployment import (CellSite, DeploymentError, FleetPlan, HubSite,
-                         Layout, PlacementError, cells_per_hub, fleet_size,
-                         place_fleet)
+from .deployment import (DeploymentError, FleetPlan, Layout, PlacementError,
+                         cells_per_hub, fleet_size, place_fleet)
 from .exact import (NodeBudgetExceeded, SizeGuardError, enumerate_all,
                     solve_exact)
-from .geometry import (HardCoreSpec, Point2, Point3, elevation_angle,
-                       hardcore_thin, horizontal_distance, matern_type1,
-                       poisson_points)
+from .geometry import HardCoreSpec, hardcore_thin, matern_type1, poisson_points
 from .harness import (PreparedScenario, RunResult, SeedSearchError,
                       complexity_sweep, prepare_scenario, run_scenario,
                       seed_search, sweep_constraints)
@@ -35,13 +31,11 @@ __all__ = [
     "check_feasible", "empty_association", "objective", "solve_greedy",
     "ChannelParams", "CoverageError", "LinkTable", "RadioParams",
     "build_link_table", "coverage_radius", "p_los", "path_loss_db",
-    "received_power_w", "sinr_linear",
     "ConfigError", "ScenarioConfig", "load_config", "table1_urban",
-    "CellSite", "DeploymentError", "FleetPlan", "HubSite", "Layout",
-    "PlacementError", "cells_per_hub", "fleet_size", "place_fleet",
+    "DeploymentError", "FleetPlan", "Layout", "PlacementError",
+    "cells_per_hub", "fleet_size", "place_fleet",
     "NodeBudgetExceeded", "SizeGuardError", "enumerate_all", "solve_exact",
-    "HardCoreSpec", "Point2", "Point3", "elevation_angle", "hardcore_thin",
-    "horizontal_distance", "matern_type1", "poisson_points",
+    "HardCoreSpec", "hardcore_thin", "matern_type1", "poisson_points",
     "PreparedScenario", "RunResult", "SeedSearchError", "complexity_sweep",
     "prepare_scenario", "run_scenario", "seed_search", "sweep_constraints",
     "random_instance", "SolveReport", "RNG_ALGORITHM", "make_rng", "sub_seed",

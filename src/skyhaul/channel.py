@@ -3,7 +3,8 @@
 Line-of-sight probability follows the standard logistic model in the
 elevation angle; mean path loss adds angle-weighted LoS/NLoS excess losses on
 top of free-space loss. SINR treats every hub as a co-channel interferer
-transmitting continuously at full power.
+transmitting continuously at full power. Every function here works
+elementwise on numpy arrays; a whole cell x hub table is one evaluation.
 """
 
 import math
@@ -11,8 +12,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .geometry import Point2, Point3, elevation_angle, horizontal_distance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
@@ -23,10 +22,6 @@ LIGHT_SPEED = 2.998e8  # m/s
 
 class CoverageError(RuntimeError):
     """Coverage-radius inversion has no solution in the bracket."""
-
-
-class BracketError(CoverageError):
-    """Path loss failed the monotonicity check over the search bracket."""
 
 
 @dataclass(frozen=True)
@@ -86,46 +81,38 @@ class LinkTable:
         return self.pl_db.shape[1]
 
 
-def p_los(params: ChannelParams, theta: float) -> float:
-    """Line-of-sight probability at elevation angle `theta` (radians).
+def p_los(params: ChannelParams, theta):
+    """Line-of-sight probability at elevation angle `theta` (radians),
+    elementwise.
 
     1 / (1 + alpha * exp(-beta * (theta_deg - alpha))), strictly increasing
     in theta and confined to (0, 1). Valid for 0 < theta <= pi/2.
     """
-    if not (0.0 < theta <= math.pi / 2):
-        raise ValueError(f"elevation angle {theta} outside (0, pi/2]")
-    theta_deg = math.degrees(theta)
-    return 1.0 / (1.0 + params.alpha * math.exp(-params.beta * (theta_deg - params.alpha)))
+    if not np.all((0.0 < theta) & (theta <= math.pi / 2)):
+        raise ValueError(f"elevation angle outside (0, pi/2]: {theta}")
+    theta_deg = np.degrees(theta)
+    return 1.0 / (1.0 + params.alpha * np.exp(-params.beta * (theta_deg - params.alpha)))
 
 
-def path_loss_db(params: ChannelParams, cell: Point2, hub: Point3) -> float:
-    """Mean air-to-ground path loss in dB between a cell and a hub.
+def path_loss_db(params: ChannelParams, s, h):
+    """Mean air-to-ground path loss in dB at ground distance `s` from a hub
+    at altitude `h`, elementwise (s and h broadcast against each other).
 
     Free-space loss over the slant distance d = sqrt(h^2 + s^2), plus the
-    LoS/NLoS excess losses weighted by P(LoS) and 1 - P(LoS).
+    LoS/NLoS excess losses weighted by P(LoS) and 1 - P(LoS) at the elevation
+    angle atan(h / s).
+
+    Strictly increasing in s at fixed h: free-space loss grows with d, and
+    the excess loss eta_nlos - P(LoS) * (eta_nlos - eta_los) cannot fall
+    because P(LoS) falls with the angle and ChannelParams enforces
+    eta_los_db <= eta_nlos_db. coverage_radius relies on this.
     """
-    s = horizontal_distance(cell, hub)
-    d = math.hypot(hub.h, s)
-    if d == 0.0:
+    d = np.hypot(h, s)
+    if np.any(d == 0.0):
         raise ValueError("cell and hub are co-located")
-    fspl = 10.0 * math.log10((4.0 * math.pi * params.carrier_hz * d / params.light_speed) ** params.pl_exponent)
-    p = p_los(params, elevation_angle(cell, hub))
+    fspl = 10.0 * np.log10((4.0 * math.pi * params.carrier_hz * d / params.light_speed) ** params.pl_exponent)
+    p = p_los(params, np.arctan2(h, s))
     return fspl + p * params.eta_los_db + (1.0 - p) * params.eta_nlos_db
-
-
-def received_power_w(radio: RadioParams, pl_db: float) -> float:
-    """Received power in watts for a given path loss."""
-    return radio.tx_power_w * 10.0 ** (-pl_db / 10.0)
-
-
-def sinr_linear(radio: RadioParams, rx_powers: list[float], serving_index: int) -> float:
-    """Linear SINR of the link to `serving_index`.
-
-    Every other hub counts as a co-channel interferer; math.fsum keeps the
-    interference sum independent of hub ordering.
-    """
-    interference = math.fsum(p for k, p in enumerate(rx_powers) if k != serving_index)
-    return rx_powers[serving_index] / (interference + radio.noise_w)
 
 
 def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
@@ -135,50 +122,34 @@ def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
     Each cell demands the same rate from every hub, so the bandwidth demand
     of pair (i, j) is rate_i / spec_eff_ij.
     """
-    if not layout.cells or not layout.hubs:
+    cells, hubs = layout.cells, layout.hubs
+    if len(cells) == 0 or len(hubs) == 0:
         raise ValueError("layout must contain at least one cell and one hub")
-    n, m = len(layout.cells), len(layout.hubs)
-    pl = np.empty((n, m))
-    for i, cell in enumerate(layout.cells):
-        for j, hub in enumerate(layout.hubs):
-            pl[i, j] = path_loss_db(cfg.channel, cell.pos, hub.pos)
+    s = np.hypot(cells[:, None, 0] - hubs[None, :, 0],
+                 cells[:, None, 1] - hubs[None, :, 1])
+    pl = path_loss_db(cfg.channel, s, hubs[None, :, 2])
+    rx = cfg.radio.tx_power_w * 10.0 ** (-pl / 10.0)
 
-    rx = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            rx[i, j] = received_power_w(cfg.radio, pl[i, j])
-
-    sinr = np.empty((n, m))
-    for i in range(n):
-        row = [float(v) for v in rx[i]]
-        for j in range(m):
-            sinr[i, j] = sinr_linear(cfg.radio, row, j)
+    # The interference at cell i from every hub but j is the fsum of row i
+    # minus rx_ij: one exact row sum, so no result depends on hub order.
+    total = np.array([math.fsum(row) for row in rx.tolist()])
+    sinr = rx / (total[:, None] - rx + cfg.radio.noise_w)
 
     sinr_db = 10.0 * np.log10(sinr)
     spec_eff = np.log2(1.0 + sinr)
-    rates = np.array([c.rate_bps for c in layout.cells], dtype=float)
-    bandwidth = rates[:, None] / spec_eff
+    bandwidth = layout.rates[:, None] / spec_eff
     return LinkTable(pl_db=pl, sinr_db=sinr_db, spec_eff=spec_eff, bandwidth_hz=bandwidth)
 
 
-def coverage_radius(
-    params: ChannelParams,
-    h: float,
-    pl_max_db: float,
-    *,
-    residual_tol_db: float = 0.01,
-    grid_points: int = 256,
-) -> float:
+def coverage_radius(params: ChannelParams, h: float, pl_max_db: float) -> float:
     """Horizontal distance at which the path loss reaches `pl_max_db`.
 
-    Solved by bisection on s at fixed altitude h, stopping once the path-loss
-    residual is within `residual_tol_db`. Monotonicity of the loss over the
-    bracket is verified on a grid first, since it is what makes the root
-    unique.
+    Solved by bisection on s at fixed altitude h. The root is unique since
+    path_loss_db is strictly increasing in s.
     """
 
     def pl(s: float) -> float:
-        return path_loss_db(params, Point2(0.0, 0.0), Point3(s, 0.0, h))
+        return path_loss_db(params, s, h)
 
     pl0 = pl(0.0)
     if pl0 > pl_max_db:
@@ -196,14 +167,10 @@ def coverage_radius(
     else:
         raise CoverageError(f"path loss never reaches {pl_max_db:.2f} dB (unbounded bracket)")
 
-    grid = np.linspace(0.0, hi, grid_points)
-    values = [pl(float(s)) for s in grid]
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise BracketError("path loss is not strictly increasing over the search bracket")
-
-    # Bisect the bracket down to micrometers, then confirm the residual:
-    # stopping on the residual alone can leave the answer a meter or so off
-    # the root even though the loss there is within tolerance.
+    # Bisect the bracket down to micrometers: stopping once the loss is
+    # within a tolerance of the ceiling can leave the answer a meter or so
+    # off the root. The loss is continuous and monotone, so at the midpoint
+    # it is within a micrometer's worth of slope of the ceiling.
     lo = 0.0
     for _ in range(200):
         if hi - lo <= 1e-6:
@@ -213,7 +180,4 @@ def coverage_radius(
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    if abs(pl(root) - pl_max_db) > residual_tol_db:
-        raise CoverageError("bisection failed to reach the residual tolerance")
-    return root
+    return 0.5 * (lo + hi)

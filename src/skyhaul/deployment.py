@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .geometry import HardCoreSpec, Point2, Point3, matern_type1
+import numpy as np
+
+from .geometry import HardCoreSpec, matern_type1
 from .units import Seed, sub_seed
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,22 +39,16 @@ class DegenerateDemandError(ValueError):
 
 
 @dataclass(frozen=True)
-class CellSite:
-    pos: Point2
-    rate_bps: float
-
-
-@dataclass(frozen=True)
-class HubSite:
-    pos: Point3
-    bandwidth_cap_hz: float
-    link_cap: int
-
-
-@dataclass(frozen=True)
 class Layout:
-    cells: list[CellSite]
-    hubs: list[HubSite]
+    """Ground cells, their demands and the hovering hubs, as arrays.
+
+    Per-hub caps are not stored: every hub carries the scenario's
+    hub_bandwidth_hz and hub_link_cap.
+    """
+
+    cells: np.ndarray  # (n, 2) ground positions x, y in meters
+    rates: np.ndarray  # (n,) demanded rate per cell, bps
+    hubs: np.ndarray  # (m, 3) positions x, y and altitude h in meters
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,9 @@ def fleet_size(n_cells: int, link_cap: int, cells_per_hub: int) -> int:
     return -(-n_cells // per_hub)
 
 
-def place_fleet(cfg: "ScenarioConfig", n_hubs: int, min_sep: float, seed: Seed) -> list[Point3]:
-    """Place `n_hubs` hubs at the ceiling altitude with hard-core separation.
+def place_fleet(cfg: "ScenarioConfig", n_hubs: int, min_sep: float, seed: Seed) -> np.ndarray:
+    """Place `n_hubs` hubs at the ceiling altitude with hard-core separation,
+    as an (n_hubs, 3) array of x, y, h rows.
 
     Draws a hard-core layout at the scenario's parent intensity and takes the
     first n_hubs points in generation order. A short draw is retried with a
@@ -108,7 +105,8 @@ def place_fleet(cfg: "ScenarioConfig", n_hubs: int, min_sep: float, seed: Seed) 
         attempt_seed = seed if attempt == 0 else sub_seed(seed, attempt)
         points = matern_type1(spec, attempt_seed)
         if len(points) >= n_hubs:
-            return [Point3(p.x, p.y, cfg.hub_altitude_m) for p in points[:n_hubs]]
+            return np.column_stack((points[:n_hubs],
+                                    np.full(n_hubs, cfg.hub_altitude_m)))
     raise PlacementError(
         f"could not draw {n_hubs} hubs at min separation {min_sep:.0f} m "
         f"after {PLACEMENT_RETRIES + 1} attempts"

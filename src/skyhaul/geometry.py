@@ -1,30 +1,17 @@
-"""Planar point processes and cell-to-hub geometry.
+"""Planar point processes.
 
 Cells live in the ground plane of a square region [0, L] x [0, L]; hubs share
 the same plane but hover at a fixed altitude. Random layouts come from a
 homogeneous Poisson parent process thinned by a type-I hard-core rule
-(mutual deletion of any pair closer than the hard-core radius).
+(mutual deletion of any pair closer than the hard-core radius). Point sets
+are (n, 2) float arrays of (x, y) rows.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .units import Seed, make_rng
-
-
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class Point3:
-    x: float
-    y: float
-    h: float  # altitude above ground, meters
 
 
 @dataclass(frozen=True)
@@ -48,34 +35,32 @@ class HardCoreSpec:
             raise ValueError("min_separation must be in (0, area_side)")
 
 
-def poisson_points(spec: HardCoreSpec, seed: Seed) -> list[Point2]:
-    """Homogeneous Poisson process on the square region.
+def poisson_points(spec: HardCoreSpec, seed: Seed) -> np.ndarray:
+    """Homogeneous Poisson process on the square region, as an (n, 2) array.
 
     The point count is Poisson with mean intensity * area_side^2 and the
-    points are i.i.d. uniform. Same (spec, seed) always gives the same list.
+    points are i.i.d. uniform. Same (spec, seed) always gives the same array.
     """
     rng = make_rng(seed)
     n = int(rng.poisson(spec.intensity * spec.area_side**2))
     xs = rng.uniform(0.0, spec.area_side, n)
     ys = rng.uniform(0.0, spec.area_side, n)
-    return [Point2(float(x), float(y)) for x, y in zip(xs, ys)]
+    return np.column_stack((xs, ys))
 
 
-def hardcore_thin(points: list[Point2], min_separation: float) -> list[Point2]:
+def hardcore_thin(points: np.ndarray, min_separation: float) -> np.ndarray:
     """Type-I hard-core thinning: drop every point that has any neighbor
     strictly closer than `min_separation` (both members of a close pair go).
     """
     if len(points) < 2:
-        return list(points)
-    arr = np.array([[p.x, p.y] for p in points])
-    diff = arr[:, None, :] - arr[None, :, :]
+        return points
+    diff = points[:, None, :] - points[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(d2, np.inf)
-    keep = d2.min(axis=1) >= min_separation**2
-    return [p for p, k in zip(points, keep) if k]
+    return points[d2.min(axis=1) >= min_separation**2]
 
 
-def matern_type1(spec: HardCoreSpec, seed: Seed) -> list[Point2]:
+def matern_type1(spec: HardCoreSpec, seed: Seed) -> np.ndarray:
     """Hard-core layout: Poisson parent draw followed by mutual thinning.
 
     All pairwise distances in the result are >= spec.min_separation. No edge
@@ -83,17 +68,3 @@ def matern_type1(spec: HardCoreSpec, seed: Seed) -> list[Point2]:
     only.
     """
     return hardcore_thin(poisson_points(spec, seed), spec.min_separation)
-
-
-def horizontal_distance(a: Point2 | Point3, b: Point3) -> float:
-    """Ground-plane distance, ignoring altitude."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def elevation_angle(cell: Point2, hub: Point3) -> float:
-    """Elevation angle (radians) from a ground cell up to a hub.
-
-    atan(h / s) with s the ground-plane distance; pi/2 when the hub is
-    directly overhead.
-    """
-    return math.atan2(hub.h, horizontal_distance(cell, hub))

@@ -24,13 +24,13 @@ from .association import (AssociationMatrix, ProblemInstance, check_feasible,
                           solve_greedy)
 from .channel import LinkTable, build_link_table, coverage_radius
 from .config import ScenarioConfig
-from .deployment import (CellSite, FleetPlan, HubSite, Layout, cells_per_hub,
-                         fleet_size, place_fleet)
+from .deployment import (FleetPlan, Layout, cells_per_hub, fleet_size,
+                         place_fleet)
 from .exact import solve_exact
 from .geometry import HardCoreSpec, matern_type1
 from .instances import random_instance
 from .report import SolveReport
-from .units import RNG_ALGORITHM, make_rng, sub_seed
+from .units import RNG_ALGORITHM, Seed, make_rng, sub_seed
 
 # sub-stream indices off the master seed
 _STREAM_CELLS = 0
@@ -65,7 +65,7 @@ class RunResult:
     reports: dict[str, SolveReport]
 
 
-def draw_cells(cfg: ScenarioConfig) -> list:
+def draw_cells(cfg: ScenarioConfig) -> np.ndarray:
     spec = HardCoreSpec(cfg.area_side_m, cfg.cell_intensity_per_m2,
                         cfg.cell_min_sep_m)
     return matern_type1(spec, sub_seed(cfg.seed, _STREAM_CELLS))
@@ -80,13 +80,15 @@ def _empty_prepared(cfg: ScenarioConfig) -> PreparedScenario:
     shape = (0, 0)
     table = LinkTable(pl_db=np.zeros(shape), sinr_db=np.zeros(shape),
                       spec_eff=np.zeros(shape), bandwidth_hz=np.zeros(shape))
-    inst = ProblemInstance(link_table=table, rates=np.zeros(0),
+    layout = Layout(cells=np.zeros((0, 2)), rates=np.zeros(0),
+                    hubs=np.zeros((0, 3)))
+    inst = ProblemInstance(link_table=table, rates=layout.rates,
                            backhaul_cap_bps=cfg.backhaul_cap_bps,
                            hub_bandwidth_caps=np.zeros(0),
                            hub_link_caps=np.zeros(0, dtype=int),
                            sinr_min_db=cfg.sinr_min_db)
-    return PreparedScenario(cfg=cfg, layout=Layout(cells=[], hubs=[]),
-                            fleet=None, link_table=table, instance=inst)
+    return PreparedScenario(cfg=cfg, layout=layout, fleet=None,
+                            link_table=table, instance=inst)
 
 
 def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
@@ -95,23 +97,19 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
     An empty cell draw short-circuits into an empty layout with no hubs; it
     is a valid scenario that every downstream stage handles.
     """
-    points = draw_cells(cfg)
-    if not points:
+    cells = draw_cells(cfg)
+    if len(cells) == 0:
         return _empty_prepared(cfg)
-    rates = draw_rates(cfg, len(points))
-    cells = [CellSite(pos=p, rate_bps=float(r)) for p, r in zip(points, rates)]
+    rates = draw_rates(cfg, len(cells))
 
-    per_hub_cap = cells_per_hub(cfg.hub_bandwidth_hz, [float(r) for r in rates],
+    per_hub_cap = cells_per_hub(cfg.hub_bandwidth_hz, rates.tolist(),
                                 cfg.avg_spec_eff)
     n_hubs = fleet_size(len(cells), cfg.hub_link_cap, per_hub_cap)
     hub_min_sep = coverage_radius(cfg.channel, cfg.hub_altitude_m, cfg.pl_max_db)
-    hub_points = place_fleet(cfg, n_hubs, hub_min_sep,
-                             sub_seed(cfg.seed, _STREAM_HUBS))
-    hubs = [HubSite(pos=p, bandwidth_cap_hz=cfg.hub_bandwidth_hz,
-                    link_cap=cfg.hub_link_cap) for p in hub_points]
-    layout = Layout(cells=cells, hubs=hubs)
+    hubs = place_fleet(cfg, n_hubs, hub_min_sep, sub_seed(cfg.seed, _STREAM_HUBS))
+    layout = Layout(cells=cells, rates=rates, hubs=hubs)
 
-    mean_rate = math.fsum(float(r) for r in rates) / len(cells)
+    mean_rate = math.fsum(rates.tolist()) / len(cells)
     fleet = FleetPlan(n_hubs=n_hubs, per_hub_cell_cap=per_hub_cap,
                       avg_bandwidth_hz=mean_rate / cfg.avg_spec_eff,
                       avg_spec_eff=cfg.avg_spec_eff,
@@ -121,7 +119,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
     table = build_link_table(cfg, layout)
     inst = ProblemInstance(
         link_table=table,
-        rates=np.asarray([c.rate_bps for c in cells], dtype=float),
+        rates=rates,
         backhaul_cap_bps=cfg.backhaul_cap_bps,
         hub_bandwidth_caps=np.full(n_hubs, cfg.hub_bandwidth_hz, dtype=float),
         hub_link_caps=np.full(n_hubs, cfg.hub_link_cap, dtype=int),
@@ -141,19 +139,30 @@ def relax_to_qos_only(inst: ProblemInstance) -> ProblemInstance:
     )
 
 
-def _methods_for(solver: str) -> list[str]:
-    if solver == "both":
-        return ["greedy", "exact"]
-    return [solver]
+def solve_verified(inst: ProblemInstance, solver: str, seed: Seed,
+                   node_budget: int) -> dict[str, tuple[AssociationMatrix, SolveReport]]:
+    """Solve `inst` with the selected methods ("greedy", "exact" or "both"),
+    keyed by method.
 
-
-def solve_instance(inst: ProblemInstance, method: str,
-                   node_budget: int = 100_000_000):
-    if method == "greedy":
-        return solve_greedy(inst)
-    if method == "exact":
-        return solve_exact(inst, node_budget)
-    raise ValueError(f"unknown method: {method}")
+    Every association is re-judged with check_feasible against `inst`; a
+    rejection raises SolutionRejectedError rather than reaching an artifact.
+    Reports are stamped with the scenario seed.
+    """
+    solved = {}
+    for method in ("greedy", "exact") if solver == "both" else (solver,):
+        if method == "greedy":
+            a, report = solve_greedy(inst)
+        elif method == "exact":
+            a, report = solve_exact(inst, node_budget)
+        else:
+            raise ValueError(f"unknown method: {method}")
+        verdict = check_feasible(inst, a)
+        if not verdict.ok:
+            raise SolutionRejectedError(
+                f"{method} produced an infeasible association: {verdict.violated}")
+        report.seed = seed
+        solved[method] = (a, report)
+    return solved
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
@@ -171,20 +180,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
     inst = prepared.instance if constraints == "all" \
         else relax_to_qos_only(prepared.instance)
 
-    matrices: dict[str, AssociationMatrix] = {}
-    reports: dict[str, SolveReport] = {}
-    for method in _methods_for(solver):
-        a, report = solve_instance(inst, method, node_budget)
-        verdict = check_feasible(inst, a)
-        if not verdict.ok:
-            raise SolutionRejectedError(
-                f"{method} produced an infeasible association: {verdict.violated}")
-        report.seed = cfg.seed
-        matrices[method] = a
-        reports[method] = report
-
+    solved = solve_verified(inst, solver, cfg.seed, node_budget)
     result = RunResult(prepared=prepared, constraints=constraints,
-                       matrices=matrices, reports=reports)
+                       matrices={m: a for m, (a, _) in solved.items()},
+                       reports={m: r for m, (_, r) in solved.items()})
     if out_dir is not None:
         write_run_artifacts(Path(out_dir), result)
     return result
@@ -205,12 +204,8 @@ def sweep_constraints(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
     rows: list[dict] = []
     for constraints in ("qos-only", "all"):
         inst = full if constraints == "all" else relax_to_qos_only(full)
-        for method in _methods_for(solver):
-            a, report = solve_instance(inst, method, node_budget)
-            verdict = check_feasible(inst, a)
-            if not verdict.ok:
-                raise SolutionRejectedError(
-                    f"{method}/{constraints} infeasible: {verdict.violated}")
+        solved = solve_verified(inst, solver, cfg.seed, node_budget)
+        for method, (a, report) in solved.items():
             against_full = check_feasible(full, a)
             rows.append({
                 "constraints": constraints,
@@ -273,18 +268,20 @@ def _open_csv(path: Path):
     return open(path, "w", newline="")
 
 
-def write_layout_csv(path: Path, layout: Layout):
+def write_layout_csv(path: Path, layout: Layout, cfg: ScenarioConfig):
+    """Cells, then hubs; every hub carries the config's bandwidth and link
+    caps."""
     with _open_csv(path) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["kind", "id", "x_m", "y_m", "h_m", "rate_bps",
                     "bandwidth_cap_hz", "link_cap"])
-        for i, cell in enumerate(layout.cells):
-            w.writerow(["cell", i, _fmt(cell.pos.x), _fmt(cell.pos.y),
-                        _fmt(0.0), _fmt(cell.rate_bps), "", ""])
-        for j, hub in enumerate(layout.hubs):
-            w.writerow(["hub", j, _fmt(hub.pos.x), _fmt(hub.pos.y),
-                        _fmt(hub.pos.h), "", _fmt(hub.bandwidth_cap_hz),
-                        hub.link_cap])
+        for i, ((x, y), rate) in enumerate(zip(layout.cells.tolist(),
+                                               layout.rates.tolist())):
+            w.writerow(["cell", i, _fmt(x), _fmt(y), _fmt(0.0), _fmt(rate),
+                        "", ""])
+        for j, (x, y, h) in enumerate(layout.hubs.tolist()):
+            w.writerow(["hub", j, _fmt(x), _fmt(y), _fmt(h), "",
+                        _fmt(cfg.hub_bandwidth_hz), cfg.hub_link_cap])
 
 
 def write_links_csv(path: Path, table: LinkTable):
@@ -374,7 +371,8 @@ def write_summary(path: Path, cfg: ScenarioConfig, derived: dict):
 
 def write_run_artifacts(out_dir: Path, result: RunResult):
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_layout_csv(out_dir / "layout.csv", result.prepared.layout)
+    write_layout_csv(out_dir / "layout.csv", result.prepared.layout,
+                     result.prepared.cfg)
     write_links_csv(out_dir / "links.csv", result.prepared.link_table)
     for method, a in result.matrices.items():
         write_assoc_csv(out_dir / f"assoc_{method}.csv", a)

@@ -1,6 +1,6 @@
 """Solver run reports."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .units import RNG_ALGORITHM, Seed
 
@@ -18,4 +18,3 @@ class SolveReport:
     node_count: int | None = None  # exact solver only
     rng_algorithm: str = RNG_ALGORITHM
     seed: Seed | None = None  # scenario seed, filled in by the harness
-    extra: dict = field(default_factory=dict)

@@ -1,10 +1,5 @@
-"""Decibel conversions and the shared random-number plumbing.
-
-Every dB <-> linear conversion in the package goes through this module so
-that golden output files stay bit-stable.
-"""
-
-import math
+"""Shared random-number plumbing: the seed type, the generator and the
+derivation of child seeds."""
 
 import numpy as np
 
@@ -25,11 +20,3 @@ def sub_seed(seed: Seed, index: int) -> tuple[int, ...]:
     if isinstance(seed, tuple):
         return (*seed, index)
     return (seed, index)
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    return 10.0 * math.log10(value)

@@ -1,4 +1,5 @@
-"""Hand-built problem instances for solver tests.
+"""Hand-built layouts for channel tests and problem instances for solver
+tests.
 
 LinkTable fields are set directly so SINR and bandwidth values can be chosen
 exactly; the channel tests cover the definitional links between the fields.
@@ -8,6 +9,15 @@ import numpy as np
 
 from skyhaul.association import ProblemInstance
 from skyhaul.channel import LinkTable
+from skyhaul.deployment import Layout
+
+
+def make_layout(cells, hubs, rate_bps=60e6) -> Layout:
+    """Layout from (x, y) cell rows and (x, y, h) hub rows, every cell
+    demanding `rate_bps`."""
+    cells = np.asarray(cells, dtype=float).reshape(-1, 2)
+    return Layout(cells=cells, rates=np.full(len(cells), rate_bps),
+                  hubs=np.asarray(hubs, dtype=float).reshape(-1, 3))
 
 
 def make_instance(sinr_db, bandwidth_hz, rates, *, backhaul_cap_bps=1e18,

@@ -16,7 +16,6 @@ from skyhaul.association import check_feasible, objective, solve_greedy
 from skyhaul.channel import coverage_radius, p_los, path_loss_db
 from skyhaul.config import table1_urban
 from skyhaul.exact import ENUMERATION_GUARD, enumerate_all, solve_exact
-from skyhaul.geometry import Point2, Point3
 from skyhaul.harness import (complexity_sweep, prepare_scenario,
                              relax_to_qos_only, run_scenario, seed_search)
 from skyhaul.instances import random_instance
@@ -116,14 +115,14 @@ def test_criterion_6_channel_model_checks():
     vals = [p_los(params, float(t)) for t in thetas]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    overhead = path_loss_db(params, Point2(0, 0), Point3(0, 0, 300.0))
+    overhead = path_loss_db(params, 0.0, 300.0)
     assert overhead == pytest.approx(89.0, abs=0.1)
 
     radius = coverage_radius(params, 300.0, 110.0)
-    residual = path_loss_db(params, Point2(0, 0), Point3(radius, 0, 300.0)) - 110.0
+    residual = path_loss_db(params, radius, 300.0) - 110.0
     assert abs(residual) <= 0.01
     s = 0
-    while path_loss_db(params, Point2(0, 0), Point3(float(s + 1), 0, 300.0)) <= 110.0:
+    while path_loss_db(params, float(s + 1), 300.0) <= 110.0:
         s += 1
     assert abs(radius - s) <= 1.0
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,10 +68,11 @@ class TestPlaceFleet:
     def test_single_hub(self):
         cfg = table1_urban()
         hubs = place_fleet(cfg, 1, 800.0, seed=(cfg.seed, 2))
-        assert len(hubs) == 1
-        assert hubs[0].h == cfg.hub_altitude_m
-        assert 0.0 <= hubs[0].x <= cfg.area_side_m
-        assert 0.0 <= hubs[0].y <= cfg.area_side_m
+        assert hubs.shape == (1, 3)
+        x, y, h = hubs[0]
+        assert h == cfg.hub_altitude_m
+        assert 0.0 <= x <= cfg.area_side_m
+        assert 0.0 <= y <= cfg.area_side_m
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=30, deadline=None)
@@ -80,8 +82,8 @@ class TestPlaceFleet:
             hubs = place_fleet(cfg, 2, 800.0, seed=(seed, 2))
         except PlacementError:
             return  # a short draw after all retries is a legal outcome
-        assert all(h.h == cfg.hub_altitude_m for h in hubs)
-        d = math.hypot(hubs[0].x - hubs[1].x, hubs[0].y - hubs[1].y)
+        assert (hubs[:, 2] == cfg.hub_altitude_m).all()
+        d = math.hypot(*(hubs[0, :2] - hubs[1, :2]))
         assert d >= 800.0
 
     def test_impossible_packing_raises(self):
@@ -93,4 +95,4 @@ class TestPlaceFleet:
         cfg = dataclasses.replace(table1_urban(), seed=11)
         a = place_fleet(cfg, 1, 500.0, seed=(11, 2))
         b = place_fleet(cfg, 1, 500.0, seed=(11, 2))
-        assert a == b
+        assert np.array_equal(a, b)

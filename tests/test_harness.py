@@ -35,7 +35,8 @@ class TestPrepare:
     def test_empty_intensity_short_circuits(self):
         cfg = dataclasses.replace(CASE_STUDY, cell_intensity_per_m2=0.0)
         prep = prepare_scenario(cfg)
-        assert prep.layout.cells == [] and prep.layout.hubs == []
+        assert prep.layout.cells.shape == (0, 2)
+        assert prep.layout.hubs.shape == (0, 3)
         assert prep.fleet is None
         assert prep.instance.n_cells == 0
 
@@ -43,7 +44,7 @@ class TestPrepare:
     @settings(max_examples=20, deadline=None)
     def test_deterministic_draws(self, seed):
         cfg = dataclasses.replace(CASE_STUDY, seed=seed)
-        assert draw_cells(cfg) == draw_cells(cfg)
+        assert np.array_equal(draw_cells(cfg), draw_cells(cfg))
         drawn = draw_rates(cfg, 10)
         assert (drawn == draw_rates(cfg, 10)).all()
 
@@ -84,11 +85,12 @@ class TestRunScenario:
         result = run_scenario(CASE_STUDY, tmp_path, solver="greedy")
         rows = read_lines(tmp_path / "layout.csv")[1:]
         cells = [r.split(",") for r in rows if r.startswith("cell")]
-        assert len(cells) == len(result.prepared.layout.cells)
-        for row, cell in zip(cells, result.prepared.layout.cells):
-            assert float(row[2]) == cell.pos.x
-            assert float(row[3]) == cell.pos.y
-            assert float(row[5]) == cell.rate_bps
+        layout = result.prepared.layout
+        assert len(cells) == len(layout.cells)
+        for row, (x, y), rate in zip(cells, layout.cells, layout.rates):
+            assert float(row[2]) == x
+            assert float(row[3]) == y
+            assert float(row[5]) == rate
 
     def test_summary_echoes_config_and_rng(self, tmp_path):
         run_scenario(CASE_STUDY, tmp_path, solver="greedy")
