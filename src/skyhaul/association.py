@@ -7,8 +7,11 @@ independently, highest demanded rate first, under its bandwidth and link caps.
 Step 3 trims associations from the lightest-loaded hubs until the global
 backhaul rate cap holds.
 
-All capacity sums use math.fsum so that the solvers and the feasibility
-checker agree bit-for-bit regardless of accumulation order.
+Demands are whole bps with a total below 2**53, so the solvers keep rate
+totals as exact Python ints. Every partial sum of such demands is also exact
+in a double, so the solvers' rate verdicts equal those of the feasibility
+checker, which sums with math.fsum. Bandwidth sums use math.fsum everywhere,
+so no verdict depends on accumulation order.
 """
 
 import math
@@ -46,6 +49,16 @@ class ProblemInstance:
             raise ValueError("rates length must match the link table's cell count")
         if self.hub_bandwidth_caps.shape != (m,) or self.hub_link_caps.shape != (m,):
             raise ValueError("per-hub cap vectors must match the link table's hub count")
+        rates = self.rates
+        if not (np.isfinite(rates) & (rates > 0) & (rates == np.floor(rates))).all():
+            raise ValueError("rates must be positive whole numbers of bps")
+        if sum(self.int_rates) >= 2**53:
+            raise ValueError("total demand must stay below 2**53 bps")
+
+    @property
+    def int_rates(self) -> list[int]:
+        """Demanded rate per cell as an exact int, bps."""
+        return [int(r) for r in self.rates.tolist()]
 
     @property
     def n_cells(self) -> int:
@@ -170,19 +183,17 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     for j in range(inst.n_hubs):
         link_cap = int(inst.hub_link_caps[j])
         band_cap = float(inst.hub_bandwidth_caps[j])
-        remaining = list(np.flatnonzero(candidates[:, j]))
+        queue = sorted(np.flatnonzero(candidates[:, j]),
+                       key=lambda i: (-float(rates[i]), float(bw[i, j]), i))
         accepted_bw: list[float] = []
-        accepted = 0
-        while remaining and accepted < link_cap:
-            best = min(remaining, key=lambda i: (-float(rates[i]), float(bw[i, j]), i))
-            ops.add(len(remaining) + 2)
-            if math.fsum(accepted_bw + [float(bw[best, j])]) <= band_cap:
-                a[best, j] = 1
-                accepted_bw.append(float(bw[best, j]))
-                accepted += 1
-                assert accepted <= link_cap
-                assert math.fsum(accepted_bw) <= band_cap
-            remaining.remove(best)
+        for k, i in enumerate(queue):
+            if len(accepted_bw) >= link_cap:
+                break
+            ops.add(len(queue) - k + 2)
+            b = float(bw[i, j])
+            if math.fsum(accepted_bw + [b]) <= band_cap:
+                a[i, j] = 1
+                accepted_bw.append(b)
     return a
 
 
@@ -199,10 +210,10 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
     _check_dims(inst, assoc)
     ops = ops or OpCounter()
     a = assoc.copy()
-    rates = inst.rates
+    rates = inst.int_rates
     cap = inst.backhaul_cap_bps
     cells_on = [list(np.flatnonzero(a[:, j])) for j in range(inst.n_hubs)]
-    total = math.fsum(float(rates[i]) for j in range(inst.n_hubs) for i in cells_on[j])
+    total = sum(rates[i] for cells in cells_on for i in cells)
 
     while total > cap:
         live = [j for j in range(inst.n_hubs) if cells_on[j]]
@@ -210,13 +221,13 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
             break
         j = min(live, key=lambda h: (len(cells_on[h]), h))
         ops.add(inst.n_hubs)
-        landing = [i for i in cells_on[j] if total - float(rates[i]) <= cap]
+        landing = [i for i in cells_on[j] if total - rates[i] <= cap]
         pool = landing if landing else cells_on[j]
-        victim = min(pool, key=lambda i: (float(rates[i]), i))
+        victim = min(pool, key=lambda i: (rates[i], i))
         ops.add(2 * len(cells_on[j]) + 1)
         a[victim, j] = 0
         cells_on[j].remove(victim)
-        total = math.fsum(float(rates[i]) for h in range(inst.n_hubs) for i in cells_on[h])
+        total -= rates[victim]
 
     hubs_in_use = sum(1 for j in range(inst.n_hubs) if cells_on[j])
     return a, hubs_in_use
@@ -233,17 +244,24 @@ def solve_greedy(inst: ProblemInstance) -> tuple[AssociationMatrix, SolveReport]
     t0 = time.perf_counter()
     candidates = greedy_step1(inst, ops)
     packed = greedy_step2(inst, candidates, ops)
-    a, hubs_in_use = greedy_step3(inst, packed, ops)
+    a, _ = greedy_step3(inst, packed, ops)
     wall = time.perf_counter() - t0
+    return a, solve_report(inst, a, "greedy", wall, ops.count)
 
-    report = SolveReport(
-        method="greedy",
+
+def solve_report(inst: ProblemInstance, a: AssociationMatrix, method: str,
+                 wall_time_s: float, op_count: int,
+                 node_count: int | None = None) -> SolveReport:
+    """Report on a solver's association; every figure but the timing and the
+    work counters is derived from the matrix."""
+    return SolveReport(
+        method=method,
         sum_rate_bps=objective(inst, a),
         n_associated=int((a.sum(axis=1) > 0).sum()),
         per_hub_links=tuple(int(k) for k in a.sum(axis=0)),
-        hubs_in_use=hubs_in_use,
+        hubs_in_use=int((a.sum(axis=0) > 0).sum()),
         feasible=check_feasible(inst, a).ok,
-        wall_time_s=wall,
-        op_count=ops.count,
+        wall_time_s=wall_time_s,
+        op_count=op_count,
+        node_count=node_count,
     )
-    return a, report

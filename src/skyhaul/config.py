@@ -10,6 +10,7 @@ override individual fields.
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,16 +70,23 @@ class ScenarioConfig:
             raise ConfigError(f"solver must be one of {SOLVER_CHOICES}")
         if self.constraints not in CONSTRAINT_CHOICES:
             raise ConfigError(f"constraints must be one of {CONSTRAINT_CHOICES}")
+        for field in dataclasses.fields(self):
+            if field.type is float and not math.isfinite(getattr(self, field.name)):
+                raise ConfigError(f"{field.name} must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.area_side_m <= 0:
             raise ConfigError("area_side_m must be positive")
         if self.cell_intensity_per_m2 < 0:
             raise ConfigError("cell_intensity_per_m2 must be nonnegative")
-        if self.cell_min_sep_m < 0:
-            raise ConfigError("cell_min_sep_m must be nonnegative")
+        if not 0 < self.cell_min_sep_m < self.area_side_m:
+            raise ConfigError("cell_min_sep_m must lie strictly between 0 and area_side_m")
         if not self.rate_menu_bps:
             raise ConfigError("rate_menu_bps must not be empty")
         if any(r <= 0 for r in self.rate_menu_bps):
             raise ConfigError("rate menu entries must be positive")
+        if not all(math.isfinite(r) and r == math.floor(r) for r in self.rate_menu_bps):
+            raise ConfigError("rate menu entries must be whole numbers of bps")
         if list(self.rate_menu_bps) != sorted(self.rate_menu_bps):
             raise ConfigError("rate menu must be ascending")
         if self.backhaul_cap_bps <= 0 or self.hub_bandwidth_hz <= 0:

@@ -9,10 +9,11 @@ the incumbent.
 The bound adds to the running objective the cheaper of (a) the total demand
 of every cell not yet placed and (b) the largest value the remaining
 backhaul headroom can actually absorb. For (b) we exploit that demands are
-drawn from a discrete menu: any achievable completion is a sum of remaining
-demands, hence a multiple of their gcd, so the headroom rounds down to the
-nearest such multiple. With continuous demands the gcd degenerates and (b)
-falls back to the plain headroom.
+whole bps: any achievable completion is a sum of remaining demands, hence a
+multiple of their gcd, so the headroom rounds down to the nearest such
+multiple. Rate totals are exact Python ints (ProblemInstance keeps the total
+below 2**53, so they equal the checker's fsum); per-hub bandwidth is summed
+with math.fsum, as the checker does.
 """
 
 import math
@@ -21,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import (AssociationMatrix, ProblemInstance, check_feasible,
-                          empty_association, objective)
+from .association import (AssociationMatrix, ProblemInstance, empty_association,
+                          objective, solve_report)
+# perfbench/spans.py traces feasibility checks under this module's name
+from .association import check_feasible  # noqa: F401
 from .report import SolveReport
 
 
@@ -45,48 +48,33 @@ ENUMERATION_GUARD = 10_000_000
 _ENUM_CHUNK = 1 << 15
 
 
-def _rate_gcd(rates: list[float]) -> float:
-    """gcd of the demands when they are (close enough to) integers, else 0."""
-    ints = []
-    for r in rates:
-        n = round(r)
-        if abs(r - n) > 1e-6 or n <= 0:
-            return 0.0
-        ints.append(n)
-    if not ints:
-        return 0.0
-    return float(math.gcd(*ints))
-
-
-def _completion_cap(headroom: float, suffix_sum: float, suffix_gcd: float) -> float:
+def _completion_cap(headroom: float, suffix_sum: int, suffix_gcd: int) -> int:
     """Best objective any completion of the current partial assignment can add."""
     if headroom <= 0:
-        return 0.0
-    if math.isinf(headroom):
+        return 0
+    if headroom >= suffix_sum:
         return suffix_sum
-    cap = headroom
-    if suffix_gcd > 0:
-        cap = math.floor(headroom / suffix_gcd) * suffix_gcd
-    return min(suffix_sum, cap)
+    return math.floor(headroom / suffix_gcd) * suffix_gcd
 
 
 @dataclass
 class _SearchState:
     inst: ProblemInstance
     order: list[int]  # cell indices, visit order
-    suffix_sum: list[float]  # total demand of cells order[k:], exact fsum
-    suffix_gcd: list[float]  # gcd of demands of cells order[k:], 0 if continuous
+    rates: list[int]  # demand per cell, whole bps
+    suffix_sum: list[int]  # total demand of cells order[k:]
+    suffix_gcd: list[int]  # gcd of demands of cells order[k:]
     admissible: list[list[int]]  # admissible hubs per cell, ascending
     node_budget: int
     node_count: int = 0
-    incumbent_value: float = 0.0
+    incumbent_value: int = 0
+    running: int = 0  # total demand of the assigned cells
 
     def __post_init__(self):
         self.incumbent = empty_association(self.inst.n_cells, self.inst.n_hubs)
         self.assign = [-1] * self.inst.n_cells  # -1 means unassigned
         self.hub_links = [0] * self.inst.n_hubs
         self.hub_bw: list[list[float]] = [[] for _ in range(self.inst.n_hubs)]
-        self.assigned_rates: list[float] = []
 
 
 def _snapshot(state: _SearchState) -> AssociationMatrix:
@@ -102,9 +90,7 @@ def _dfs(state: _SearchState, depth: int):
     if state.node_count >= state.node_budget:
         raise NodeBudgetExceeded(state.node_count, state.incumbent,
                                  state.incumbent_value)
-    # fsum keeps the running value bit-identical to the checker's objective
-    # no matter in which order the search happened to admit the cells
-    running = math.fsum(state.assigned_rates)
+    running = state.running
     if depth == len(state.order):
         state.node_count += 1
         if running > state.incumbent_value:
@@ -120,7 +106,7 @@ def _dfs(state: _SearchState, depth: int):
         return
 
     i = state.order[depth]
-    rate = float(inst.rates[i])
+    rate = state.rates[i]
     bw = inst.link_table.bandwidth_hz
 
     for j in state.admissible[i]:
@@ -131,15 +117,15 @@ def _dfs(state: _SearchState, depth: int):
         if math.fsum(state.hub_bw[j] + [b]) > float(inst.hub_bandwidth_caps[j]):
             state.node_count += 1
             continue
-        if math.fsum(state.assigned_rates + [rate]) > inst.backhaul_cap_bps:
+        if running + rate > inst.backhaul_cap_bps:
             state.node_count += 1
             continue
         state.assign[i] = j
         state.hub_links[j] += 1
         state.hub_bw[j].append(b)
-        state.assigned_rates.append(rate)
+        state.running += rate
         _dfs(state, depth + 1)
-        state.assigned_rates.pop()
+        state.running -= rate
         state.hub_bw[j].pop()
         state.hub_links[j] -= 1
         state.assign[i] = -1
@@ -168,37 +154,26 @@ def solve_exact(inst: ProblemInstance,
     t0 = time.perf_counter()
     n = inst.n_cells
 
-    order = sorted(range(n), key=lambda i: (-float(inst.rates[i]), i))
-    ordered_rates = [float(inst.rates[i]) for i in order]
-    suffix_sum = [0.0] * (n + 1)
-    suffix_gcd = [0.0] * (n + 1)
+    rates = inst.int_rates
+    order = sorted(range(n), key=lambda i: (-rates[i], i))
+    suffix_sum = [0] * (n + 1)
+    suffix_gcd = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
-        suffix_sum[k] = math.fsum(ordered_rates[k:])
-        suffix_gcd[k] = _rate_gcd(ordered_rates[k:])
+        suffix_sum[k] = suffix_sum[k + 1] + rates[order[k]]
+        suffix_gcd[k] = math.gcd(suffix_gcd[k + 1], rates[order[k]])
 
     sinr = inst.link_table.sinr_db
     admissible = [[j for j in range(inst.n_hubs) if sinr[i, j] >= inst.sinr_min_db]
                   for i in range(n)]
 
-    state = _SearchState(inst=inst, order=order, suffix_sum=suffix_sum,
+    state = _SearchState(inst=inst, order=order, rates=rates, suffix_sum=suffix_sum,
                          suffix_gcd=suffix_gcd, admissible=admissible,
                          node_budget=node_budget)
     _dfs(state, 0)
 
-    a = state.incumbent
     wall = time.perf_counter() - t0
-    report = SolveReport(
-        method="exact",
-        sum_rate_bps=objective(inst, a),
-        n_associated=int((a.sum(axis=1) > 0).sum()),
-        per_hub_links=tuple(int(k) for k in a.sum(axis=0)),
-        hubs_in_use=int(((a.sum(axis=0)) > 0).sum()),
-        feasible=check_feasible(inst, a).ok,
-        wall_time_s=wall,
-        op_count=state.node_count,
-        node_count=state.node_count,
-    )
-    return a, report
+    return state.incumbent, solve_report(inst, state.incumbent, "exact", wall,
+                                         state.node_count, state.node_count)
 
 
 def _fsum_feasible(inst: ProblemInstance, choice: np.ndarray) -> bool:

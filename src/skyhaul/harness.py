@@ -23,7 +23,7 @@ import numpy as np
 from .association import (AssociationMatrix, ProblemInstance, check_feasible,
                           solve_greedy)
 from .channel import LinkTable, build_link_table, coverage_radius
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .deployment import (FleetPlan, Layout, cells_per_hub, fleet_size,
                          place_fleet)
 from .exact import solve_exact
@@ -117,14 +117,19 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
                       hub_min_sep_m=hub_min_sep)
 
     table = build_link_table(cfg, layout)
-    inst = ProblemInstance(
-        link_table=table,
-        rates=rates,
-        backhaul_cap_bps=cfg.backhaul_cap_bps,
-        hub_bandwidth_caps=np.full(n_hubs, cfg.hub_bandwidth_hz, dtype=float),
-        hub_link_caps=np.full(n_hubs, cfg.hub_link_cap, dtype=int),
-        sinr_min_db=cfg.sinr_min_db,
-    )
+    # ScenarioConfig vets each menu entry; the total of the drawn demands
+    # can still reach the instance's 2**53 bps bound
+    try:
+        inst = ProblemInstance(
+            link_table=table,
+            rates=rates,
+            backhaul_cap_bps=cfg.backhaul_cap_bps,
+            hub_bandwidth_caps=np.full(n_hubs, cfg.hub_bandwidth_hz, dtype=float),
+            hub_link_caps=np.full(n_hubs, cfg.hub_link_cap, dtype=int),
+            sinr_min_db=cfg.sinr_min_db,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"rate_menu_bps: {exc}") from exc
     return PreparedScenario(cfg=cfg, layout=layout, fleet=fleet,
                             link_table=table, instance=inst)
 

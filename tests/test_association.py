@@ -12,6 +12,20 @@ from skyhaul.association import (check_feasible, empty_association,
 from skyhaul.instances import random_instance
 
 
+class TestProblemInstance:
+    @pytest.mark.parametrize("rates", [
+        [1.5], [0.0], [-30e6], [2.0**52, 2.0**52],
+    ], ids=["fractional", "zero", "negative", "total-2**53"])
+    def test_rejects_rates_outside_whole_bps(self, rates):
+        n = len(rates)
+        with pytest.raises(ValueError):
+            make_instance([[10.0]] * n, [[1e6]] * n, rates)
+
+    def test_accepts_total_just_below_2_53(self):
+        inst = make_instance([[10.0]] * 2, [[1e6]] * 2, [2.0**52, 2.0**52 - 1])
+        assert objective(inst, np.ones((2, 1), dtype=np.int8)) == 2.0**53 - 1
+
+
 class TestObjective:
     def test_all_zero_matrix(self):
         inst = make_instance([[10.0, 10.0]], [[1e6, 1e6]], [150e6])

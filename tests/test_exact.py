@@ -7,7 +7,7 @@ from _builders import make_instance
 from skyhaul.association import check_feasible, objective, solve_greedy
 from skyhaul.exact import (NodeBudgetExceeded, SizeGuardError, enumerate_all,
                            solve_exact)
-from skyhaul.instances import random_instance
+from skyhaul.instances import RATE_MENU_BPS, random_instance
 
 
 class TestSolveExactSmall:
@@ -75,13 +75,16 @@ class TestEnumerateAll:
 
 
 class TestOracleEquivalence:
-    @given(st.integers(min_value=0, max_value=100_000))
+    # the coprime menu has gcd 1, so the headroom rounding in the search
+    # bound works at single-bps resolution
+    @given(st.integers(min_value=0, max_value=100_000),
+           st.sampled_from([RATE_MENU_BPS, (30_000_001, 59_999_999, 90_000_007)]))
     @settings(max_examples=120, deadline=None)
-    def test_exact_matches_enumeration(self, seed):
+    def test_exact_matches_enumeration(self, seed, menu):
         n_cells = 2 + seed % 7  # up to 8
         n_hubs = 1 + seed % 3
         inst = random_instance(seed, n_cells=n_cells, n_hubs=n_hubs,
-                               tight=seed % 2 == 0)
+                               tight=seed % 2 == 0, rate_menu_bps=menu)
         a_bb, report = solve_exact(inst)
         a_en, val_en = enumerate_all(inst)
         assert report.sum_rate_bps == val_en

@@ -161,6 +161,19 @@ class TestCli:
         bad.write_text("[scenario]\nnope = 1\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "area_side_m = nan", "cell_min_sep_m = 0", "cell_min_sep_m = 4000",
+        "seed = -1", "rate_menu_bps = nan", "avg_spec_eff = inf",
+        "backhaul_cap_bps = nan", "sinr_min_db = nan", "noise_w = inf",
+        "rate_menu_bps = 1.5, 60e6",
+        "rate_menu_bps = 1e15\nhub_bandwidth_hz = 1e16",  # 28 cells: 2.8e16 bps
+    ])
+    def test_out_of_domain_value_exit_two(self, tmp_path, line):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[scenario]\n{line}\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
+
     def test_seed_search_not_found_exit_three(self):
         assert main(["seed-search", "--target", "9999",
                      "--max-seeds", "20"]) == 3
