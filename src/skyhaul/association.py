@@ -10,12 +10,17 @@ backhaul rate cap holds.
 Demands are whole bps with a total below 2**53, so the solvers keep rate
 totals as exact Python ints. Every partial sum of such demands is also exact
 in a double, so the solvers' rate verdicts equal those of the feasibility
-checker, which sums with math.fsum. Bandwidth sums use math.fsum everywhere,
-so no verdict depends on accumulation order.
+checker, which sums with math.fsum. Bandwidths are arbitrary doubles, so the
+solvers keep each hub's bandwidth total as an exact int too: `exact_grid`
+puts the bandwidths on one power-of-two grid, and `admit` divides a hub's
+int total by the grid scale once per probe. That division is correctly
+rounded, so the verdict equals the checker's fsum verdict and no verdict
+depends on accumulation order.
 """
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +81,14 @@ class FeasibilityReport:
 
 
 class OpCounter:
-    """Tally of elementary compare/select operations, for complexity plots."""
+    """Tally of the elementary compare/select operations the paper's greedy
+    performs, for complexity plots.
+
+    Each step adds the count its textbook loop would do (an argmax over the
+    hubs per cell, a scan of the remaining queue per probe, a scan of the
+    hubs and of the chosen hub's cells per trim), not the operations of this
+    implementation, which does the same work with fewer Python steps.
+    """
 
     __slots__ = ("count",)
 
@@ -91,6 +103,48 @@ def empty_association(n_cells: int, n_hubs: int) -> AssociationMatrix:
     return np.zeros((n_cells, n_hubs), dtype=np.int8)
 
 
+def exact_grid(values: np.ndarray) -> tuple[list, int]:
+    """Put doubles on one power-of-two grid, for exact running totals.
+
+    Returns (units, scale) with values[k] == units[k] / scale exactly for
+    every finite value, subnormals included: units are Python ints, so sums
+    of them never round. Non-finite values come back as floats; see `admit`.
+    """
+    finite = np.isfinite(values)
+    mant, exp = np.frexp(np.where(finite, values, 0.0))
+    # mant * 2**53 is a whole number for every double; value = that * 2**lift
+    lift = exp.astype(np.int64) - 53
+    low = int(lift.min(initial=0))
+    whole = (mant * 2.0**53).astype(np.int64).tolist()
+    units = [w << s for w, s in zip(whole, (lift - low).tolist())]
+    for k in np.flatnonzero(~finite).tolist():
+        units[k] = float(values[k])
+    return units, 1 << -low
+
+
+def admit(used: int, units, scale: int, cap: float) -> int | None:
+    """Exact bandwidth packing: the new total if the probed value fits, else
+    None.
+
+    `used` is the int total of the accepted values and `units` the probed
+    value's, both on one `exact_grid`. The value fits when
+    math.fsum(accepted + [value]) <= cap, and the verdict is exactly fsum's:
+    int/int true division is correctly rounded, as fsum is, and a finite
+    total past the double range raises OverflowError, as fsum does. Special
+    cases, kept so that the total stays an exact int:
+
+    - under an infinite cap every value but NaN fits without a division;
+    - a non-finite value never fits a finite cap (fsum gives inf or NaN; no
+      link table holds a -inf bandwidth), and where it fits an infinite cap
+      it adds nothing to the total, which that cap never reads.
+    """
+    if type(units) is float:
+        return used if cap == math.inf and units == units else None
+    if cap == math.inf or (used + units) / scale <= cap:
+        return used + units
+    return None
+
+
 def _check_dims(inst: ProblemInstance, a: AssociationMatrix):
     if a.shape != (inst.n_cells, inst.n_hubs):
         raise ValueError(f"association shape {a.shape} does not match instance "
@@ -100,13 +154,7 @@ def _check_dims(inst: ProblemInstance, a: AssociationMatrix):
 def objective(inst: ProblemInstance, a: AssociationMatrix) -> float:
     """Sum of demanded rates over all set entries, in bps."""
     _check_dims(inst, a)
-    row_links = a.sum(axis=1)
-    return math.fsum(float(r) * int(k) for r, k in zip(inst.rates, row_links))
-
-
-def hub_bandwidth_used(inst: ProblemInstance, a: AssociationMatrix, j: int) -> float:
-    cells = np.flatnonzero(a[:, j])
-    return math.fsum(float(inst.link_table.bandwidth_hz[i, j]) for i in cells)
+    return math.fsum((inst.rates * a.sum(axis=1)).tolist())
 
 
 def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityReport:
@@ -116,7 +164,7 @@ def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityRe
     anything else is a caller bug and raises.
     """
     _check_dims(inst, a)
-    if not np.isin(a, (0, 1)).all():
+    if not ((a == 0) | (a == 1)).all():
         raise ValueError("association matrix entries must be 0 or 1")
     violated: list[tuple[str, str]] = []
 
@@ -125,23 +173,25 @@ def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityRe
         violated.append((CONSTRAINT_BACKHAUL,
                          f"total rate {total_rate:.6g} bps > cap {inst.backhaul_cap_bps:.6g} bps"))
 
+    on = a == 1
+    bw = inst.link_table.bandwidth_hz
+    band_caps = inst.hub_bandwidth_caps.tolist()
     for j in range(inst.n_hubs):
-        used = hub_bandwidth_used(inst, a, j)
-        if used > float(inst.hub_bandwidth_caps[j]):
+        used = math.fsum(bw[on[:, j], j].tolist())
+        if used > band_caps[j]:
             violated.append((CONSTRAINT_BANDWIDTH,
-                             f"hub {j}: {used:.6g} Hz > cap {float(inst.hub_bandwidth_caps[j]):.6g} Hz"))
+                             f"hub {j}: {used:.6g} Hz > cap {band_caps[j]:.6g} Hz"))
 
-    bad = [(i, j) for i, j in zip(*np.nonzero(a))
-           if inst.link_table.sinr_db[i, j] < inst.sinr_min_db]
-    if bad:
-        violated.append((CONSTRAINT_SINR,
-                         f"{len(bad)} links below {inst.sinr_min_db} dB, first {bad[0]}"))
+    bad = on & (inst.link_table.sinr_db < inst.sinr_min_db)
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0].tolist())
+        violated.append((CONSTRAINT_SINR, f"{np.count_nonzero(bad)} links below "
+                         f"{inst.sinr_min_db} dB, first {first}"))
 
     link_counts = a.sum(axis=0)
-    for j in range(inst.n_hubs):
-        if link_counts[j] > int(inst.hub_link_caps[j]):
-            violated.append((CONSTRAINT_LINKS,
-                             f"hub {j}: {int(link_counts[j])} links > cap {int(inst.hub_link_caps[j])}"))
+    for j in np.flatnonzero(link_counts > inst.hub_link_caps).tolist():
+        violated.append((CONSTRAINT_LINKS,
+                         f"hub {j}: {int(link_counts[j])} links > cap {int(inst.hub_link_caps[j])}"))
 
     rows = np.flatnonzero(a.sum(axis=1) > 1)
     if rows.size:
@@ -155,13 +205,15 @@ def greedy_step1(inst: ProblemInstance, ops: OpCounter | None = None) -> Associa
     that SINR clears the admission threshold; ties go to the lowest hub index.
     """
     ops = ops or OpCounter()
-    a = empty_association(inst.n_cells, inst.n_hubs)
-    sinr = inst.link_table.sinr_db
-    for i in range(inst.n_cells):
-        j = int(np.argmax(sinr[i]))  # first occurrence wins ties
-        ops.add(max(inst.n_hubs - 1, 0) + 1)
-        if sinr[i, j] >= inst.sinr_min_db:
-            a[i, j] = 1
+    n, m = inst.n_cells, inst.n_hubs
+    a = empty_association(n, m)
+    if n:
+        sinr = inst.link_table.sinr_db
+        rows = np.arange(n)
+        best = np.argmax(sinr, axis=1)  # first occurrence wins ties
+        ok = sinr[rows, best] >= inst.sinr_min_db
+        a[rows[ok], best[ok]] = 1
+    ops.add(n * (max(m - 1, 0) + 1))
     return a
 
 
@@ -177,23 +229,36 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     """
     _check_dims(inst, candidates)
     ops = ops or OpCounter()
-    a = empty_association(inst.n_cells, inst.n_hubs)
-    bw = inst.link_table.bandwidth_hz
-    rates = inst.rates
-    for j in range(inst.n_hubs):
-        link_cap = int(inst.hub_link_caps[j])
-        band_cap = float(inst.hub_bandwidth_caps[j])
-        queue = sorted(np.flatnonzero(candidates[:, j]),
-                       key=lambda i: (-float(rates[i]), float(bw[i, j]), i))
-        accepted_bw: list[float] = []
-        for k, i in enumerate(queue):
-            if len(accepted_bw) >= link_cap:
+    rows, cols = np.nonzero(candidates)
+    bw = inst.link_table.bandwidth_hz[rows, cols]
+    # grouped by hub, then by (-rate, bandwidth); lexsort is stable, so the
+    # ascending rows of np.nonzero break the remaining ties
+    order = np.lexsort((bw, -inst.rates[rows], cols))
+    queues = rows[order].tolist()
+    # one grid for every queue: a common scale keeps each hub's total exact
+    units, scale = exact_grid(bw[order])
+    ends = np.cumsum(np.bincount(cols, minlength=inst.n_hubs)).tolist()
+    link_caps = inst.hub_link_caps.tolist()
+    band_caps = inst.hub_bandwidth_caps.tolist()
+    taken_rows: list[int] = []
+    taken_cols: list[int] = []
+    start = 0
+    for j, end in enumerate(ends):
+        used, links, probes = 0, 0, 0
+        for i, u in zip(queues[start:end], units[start:end]):
+            if links >= link_caps[j]:
                 break
-            ops.add(len(queue) - k + 2)
-            b = float(bw[i, j])
-            if math.fsum(accepted_bw + [b]) <= band_cap:
-                a[i, j] = 1
-                accepted_bw.append(b)
+            probes += 1
+            total = admit(used, u, scale, band_caps[j])
+            if total is not None:
+                taken_rows.append(i)
+                taken_cols.append(j)
+                used, links = total, links + 1
+        # probe k scans the end - start - k remaining candidates, plus 2
+        ops.add(probes * (end - start + 2) - probes * (probes - 1) // 2)
+        start = end
+    a = empty_association(inst.n_cells, inst.n_hubs)
+    a[taken_rows, taken_cols] = 1
     return a
 
 
@@ -206,30 +271,46 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
     removal alone lands the total within the cap; if no single cell on that
     hub can, drop the hub's smallest-rate cell and keep going. Returns the
     trimmed matrix and the number of hubs still carrying at least one link.
+
+    The hub that loses a cell stays the lightest: it had the fewest links,
+    and now has one fewer, while no other hub changed. So it keeps losing
+    cells until the cap holds or it is empty, and the hubs are visited once
+    each in ascending (links, index) order. On a hub, with its cells sorted
+    by (rate, index), the cells whose removal lands the total are those with
+    rate >= total - cap, so the victim is found by bisection.
     """
     _check_dims(inst, assoc)
     ops = ops or OpCounter()
     a = assoc.copy()
+    m = inst.n_hubs
     rates = inst.int_rates
     cap = inst.backhaul_cap_bps
-    cells_on = [list(np.flatnonzero(a[:, j])) for j in range(inst.n_hubs)]
-    total = sum(rates[i] for cells in cells_on for i in cells)
+    rows, cols = np.nonzero(a)
+    total = sum(rates[i] for i in rows.tolist())
+    links = np.bincount(cols, minlength=m)
+    # rate r lands the int total iff total - r <= cap iff r >= total - floor(cap)
+    floor_cap = math.floor(cap) if math.isfinite(cap) else cap
+    # grouped by hub, then by rate; stable, so ascending rows break ties
+    by_hub = np.lexsort((inst.rates[rows], cols))
+    starts = np.concatenate(([0], np.cumsum(links)))
 
-    while total > cap:
-        live = [j for j in range(inst.n_hubs) if cells_on[j]]
-        if not live:
+    for j in np.argsort(links, kind="stable").tolist():
+        if total <= cap:
             break
-        j = min(live, key=lambda h: (len(cells_on[h]), h))
-        ops.add(inst.n_hubs)
-        landing = [i for i in cells_on[j] if total - rates[i] <= cap]
-        pool = landing if landing else cells_on[j]
-        victim = min(pool, key=lambda i: (rates[i], i))
-        ops.add(2 * len(cells_on[j]) + 1)
-        a[victim, j] = 0
-        cells_on[j].remove(victim)
-        total -= rates[victim]
+        cells = rows[by_hub[starts[j]:starts[j + 1]]].tolist()
+        hub_rates = [rates[i] for i in cells]
+        size = len(cells)
+        while total > cap and cells:
+            pos = bisect_left(hub_rates, total - floor_cap)
+            if pos == len(cells):
+                pos = 0
+            a[cells.pop(pos), j] = 0
+            total -= hub_rates.pop(pos)
+        # trim q scans the m hubs, then twice the size - q cells left, plus 1
+        t = size - len(cells)
+        ops.add(t * (m + 2 * size + 2 - t))
 
-    hubs_in_use = sum(1 for j in range(inst.n_hubs) if cells_on[j])
+    hubs_in_use = int(np.count_nonzero(a.any(axis=0)))
     return a, hubs_in_use
 
 

@@ -12,8 +12,9 @@ backhaul headroom can actually absorb. For (b) we exploit that demands are
 whole bps: any achievable completion is a sum of remaining demands, hence a
 multiple of their gcd, so the headroom rounds down to the nearest such
 multiple. Rate totals are exact Python ints (ProblemInstance keeps the total
-below 2**53, so they equal the checker's fsum); per-hub bandwidth is summed
-with math.fsum, as the checker does.
+below 2**53, so they equal the checker's fsum). Each hub's bandwidth total is
+an exact int on one `exact_grid` of the bandwidth table, grown on assign and
+restored on backtrack, and judged by `admit`, as in greedy step 2.
 """
 
 import math
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import (AssociationMatrix, ProblemInstance, empty_association,
-                          objective, solve_report)
+                          admit, exact_grid, objective, solve_report)
 # perfbench/spans.py traces feasibility checks under this module's name
 from .association import check_feasible  # noqa: F401
 from .report import SolveReport
@@ -65,6 +66,8 @@ class _SearchState:
     suffix_sum: list[int]  # total demand of cells order[k:]
     suffix_gcd: list[int]  # gcd of demands of cells order[k:]
     admissible: list[list[int]]  # admissible hubs per cell, ascending
+    bw_units: list[list]  # bandwidth per cell and hub, on one exact grid
+    bw_scale: int  # that grid's scale
     node_budget: int
     node_count: int = 0
     incumbent_value: int = 0
@@ -74,7 +77,9 @@ class _SearchState:
         self.incumbent = empty_association(self.inst.n_cells, self.inst.n_hubs)
         self.assign = [-1] * self.inst.n_cells  # -1 means unassigned
         self.hub_links = [0] * self.inst.n_hubs
-        self.hub_bw: list[list[float]] = [[] for _ in range(self.inst.n_hubs)]
+        self.hub_bw = [0] * self.inst.n_hubs  # exact bandwidth total, grid units
+        self.link_caps = self.inst.hub_link_caps.tolist()
+        self.band_caps = self.inst.hub_bandwidth_caps.tolist()
 
 
 def _snapshot(state: _SearchState) -> AssociationMatrix:
@@ -107,14 +112,15 @@ def _dfs(state: _SearchState, depth: int):
 
     i = state.order[depth]
     rate = state.rates[i]
-    bw = inst.link_table.bandwidth_hz
 
     for j in state.admissible[i]:
-        if state.hub_links[j] >= int(inst.hub_link_caps[j]):
+        if state.hub_links[j] >= state.link_caps[j]:
             state.node_count += 1
             continue
-        b = float(bw[i, j])
-        if math.fsum(state.hub_bw[j] + [b]) > float(inst.hub_bandwidth_caps[j]):
+        used = state.hub_bw[j]
+        total = admit(used, state.bw_units[i][j], state.bw_scale,
+                      state.band_caps[j])
+        if total is None:
             state.node_count += 1
             continue
         if running + rate > inst.backhaul_cap_bps:
@@ -122,11 +128,11 @@ def _dfs(state: _SearchState, depth: int):
             continue
         state.assign[i] = j
         state.hub_links[j] += 1
-        state.hub_bw[j].append(b)
+        state.hub_bw[j] = total
         state.running += rate
         _dfs(state, depth + 1)
         state.running -= rate
-        state.hub_bw[j].pop()
+        state.hub_bw[j] = used
         state.hub_links[j] -= 1
         state.assign[i] = -1
         if state.node_count >= state.node_budget:
@@ -166,9 +172,12 @@ def solve_exact(inst: ProblemInstance,
     admissible = [[j for j in range(inst.n_hubs) if sinr[i, j] >= inst.sinr_min_db]
                   for i in range(n)]
 
+    units, scale = exact_grid(inst.link_table.bandwidth_hz.ravel())
+    m = inst.n_hubs
     state = _SearchState(inst=inst, order=order, rates=rates, suffix_sum=suffix_sum,
                          suffix_gcd=suffix_gcd, admissible=admissible,
-                         node_budget=node_budget)
+                         bw_units=[units[i * m:(i + 1) * m] for i in range(n)],
+                         bw_scale=scale, node_budget=node_budget)
     _dfs(state, 0)
 
     wall = time.perf_counter() - t0

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from _builders import make_instance
 from skyhaul.association import (check_feasible, empty_association,
-                                 greedy_step1, greedy_step2, greedy_step3,
-                                 objective, solve_greedy)
+                                 admit, exact_grid, greedy_step1, greedy_step2,
+                                 greedy_step3, objective, solve_greedy)
 from skyhaul.instances import random_instance
 
 
@@ -73,6 +73,14 @@ class TestCheckFeasible:
         bad[0, 0] = 1
         assert {c for c, _ in check_feasible(inst, bad).violated} == {"sinr"}
 
+    def test_sinr_violation_message_names_plain_indices(self):
+        inst = make_instance([[10.0, 10.0], [10.0, -20.0]], [[1e6, 1e6]] * 2,
+                             [30e6, 30e6])
+        a = empty_association(2, 2)
+        a[1, 1] = 1
+        assert check_feasible(inst, a).violated == [
+            ("sinr", "1 links below -5.0 dB, first (1, 1)")]
+
     def test_double_association_detected(self):
         inst = make_instance([[10.0, 10.0]], [[1e6, 1e6]], [30e6])
         a = np.ones((1, 2), dtype=np.int8)
@@ -83,6 +91,43 @@ class TestCheckFeasible:
         a = np.full((1, 1), 2, dtype=np.int8)
         with pytest.raises(ValueError):
             check_feasible(inst, a)
+
+
+# doubles from 1e-300 to 1e300, subnormals as whole multiples of the
+# smallest one, and doubles of one magnitude, whose sums round at every step
+_BANDWIDTHS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.integers(min_value=1, max_value=2**52 - 1).map(lambda k: k * 5e-324),
+    st.floats(min_value=1.0, max_value=4.0),
+)
+
+
+class TestExactBandwidthVerdict:
+    @given(st.lists(st.one_of(_BANDWIDTHS, st.just(math.inf), st.just(math.nan)),
+                    min_size=1, max_size=12),
+           st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_fsum_of_accepted_plus_probe(self, values, data):
+        finite = [v for v in values if math.isfinite(v)]
+        k = data.draw(st.integers(min_value=0, max_value=len(finite)))
+        tie = math.fsum(finite[:k])
+        cap = data.draw(st.sampled_from([
+            tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf),
+            math.inf, finite[0] if finite else 0.0]))
+        units, scale = exact_grid(np.asarray(values))
+        used, accepted = 0, []
+        for v, u in zip(values, units):
+            total = admit(used, u, scale, cap)
+            assert (total is not None) == (math.fsum(accepted + [v]) <= cap)
+            if total is not None:
+                accepted.append(v)
+                used = total
+
+    @given(st.lists(_BANDWIDTHS, min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_is_exact(self, values):
+        units, scale = exact_grid(np.asarray(values))
+        assert all(u / scale == v for u, v in zip(units, values))
 
 
 class TestStep1:
