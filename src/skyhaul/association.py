@@ -18,6 +18,7 @@ rounded, so the verdict equals the checker's fsum verdict and no verdict
 depends on accumulation order.
 """
 
+import functools
 import math
 import time
 from bisect import bisect_left
@@ -60,10 +61,10 @@ class ProblemInstance:
         if sum(self.int_rates) >= 2**53:
             raise ValueError("total demand must stay below 2**53 bps")
 
-    @property
-    def int_rates(self) -> list[int]:
+    @functools.cached_property
+    def int_rates(self) -> tuple[int, ...]:
         """Demanded rate per cell as an exact int, bps."""
-        return [int(r) for r in self.rates.tolist()]
+        return tuple(int(r) for r in self.rates.tolist())
 
     @property
     def n_cells(self) -> int:

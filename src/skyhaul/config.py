@@ -126,31 +126,22 @@ def table1_urban() -> ScenarioConfig:
 
 PRESETS = {"table1-urban": table1_urban}
 
-_FLOAT_FIELDS = {
-    "area_side_m", "cell_intensity_per_m2", "cell_min_sep_m", "alpha", "beta",
-    "eta_los_db", "eta_nlos_db", "carrier_hz", "pl_exponent", "tx_power_w",
-    "noise_w", "sinr_min_db", "pl_max_db", "backhaul_cap_bps",
-    "hub_bandwidth_hz", "hub_altitude_m", "avg_spec_eff",
-}
-_INT_FIELDS = {"seed", "hub_link_cap"}
-_STR_FIELDS = {"solver", "constraints"}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _parse_field(key: str, raw: str):
+    """Parse one INI value by the field's type: float, int or str, else the
+    comma/space-separated rate menu."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown scenario key: {key}")
+    kind = _FIELD_TYPES[key]
     raw = raw.strip()
     try:
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _STR_FIELDS:
-            return raw
-        if key == "rate_menu_bps":
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            return tuple(float(p) for p in parts)
+        if kind in (float, int, str):
+            return kind(raw)
+        return tuple(float(p) for p in raw.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    raise ConfigError(f"unknown scenario key: {key}")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -1,25 +1,23 @@
-"""Exact association solvers: depth-first branch-and-bound, plus a brute
-force enumerator kept around to cross-check the search on small instances.
+"""Exact association solvers: depth-first branch and bound, plus a brute
+force enumerator kept to cross-check the search on small instances.
 
-The search assigns cells one at a time, highest demanded rate first. Each
-cell either goes to some admissible hub with spare capacity or stays
-unassigned. Subtrees are cut when an optimistic completion bound cannot beat
-the incumbent.
+The search is one function: `solve_exact` keeps its state in local lists
+and ints and recurses through one nested `dfs(depth, running)`. It assigns
+cells one at a time, highest demanded rate first; each cell goes to an
+admissible hub with spare capacity or stays unassigned. A subtree is cut
+when an optimistic completion bound cannot beat the incumbent.
 
-The bound adds to the running objective the cheaper of (a) the total demand
-of every cell not yet placed and (b) the largest value the remaining
-backhaul headroom can actually absorb. For (b) we exploit that demands are
-whole bps: any achievable completion is a sum of remaining demands, hence a
-multiple of their gcd, so the headroom rounds down to the nearest such
-multiple. Rate totals are exact Python ints (ProblemInstance keeps the total
-below 2**53, so they equal the checker's fsum). Each hub's bandwidth total is
-an exact int on one `exact_grid` of the bandwidth table, grown on assign and
-restored on backtrack, and judged by `admit`, as in greedy step 2.
+The bound adds to the running objective the most the remaining cells can
+add: nothing without backhaul headroom, all their demand if it fits, else
+the headroom rounded down to a multiple of the gcd of their demands, since
+demands are whole bps. Rate totals are exact Python ints (below 2**53, so
+they equal the checker's fsum); each hub's bandwidth total is an exact int
+on one `exact_grid`, judged by `admit` as in greedy step 2.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,7 +33,7 @@ class SizeGuardError(RuntimeError):
 
 
 class NodeBudgetExceeded(RuntimeError):
-    """Search aborted after expanding too many nodes; carries the incumbent."""
+    """Search stopped on reaching its node budget; carries the incumbent."""
 
     def __init__(self, node_count: int, incumbent: AssociationMatrix,
                  incumbent_value: float):
@@ -49,103 +47,6 @@ ENUMERATION_GUARD = 10_000_000
 _ENUM_CHUNK = 1 << 15
 
 
-def _completion_cap(headroom: float, suffix_sum: int, suffix_gcd: int) -> int:
-    """Best objective any completion of the current partial assignment can add."""
-    if headroom <= 0:
-        return 0
-    if headroom >= suffix_sum:
-        return suffix_sum
-    return math.floor(headroom / suffix_gcd) * suffix_gcd
-
-
-@dataclass
-class _SearchState:
-    inst: ProblemInstance
-    order: list[int]  # cell indices, visit order
-    rates: list[int]  # demand per cell, whole bps
-    suffix_sum: list[int]  # total demand of cells order[k:]
-    suffix_gcd: list[int]  # gcd of demands of cells order[k:]
-    admissible: list[list[int]]  # admissible hubs per cell, ascending
-    bw_units: list[list]  # bandwidth per cell and hub, on one exact grid
-    bw_scale: int  # that grid's scale
-    node_budget: int
-    node_count: int = 0
-    incumbent_value: int = 0
-    running: int = 0  # total demand of the assigned cells
-
-    def __post_init__(self):
-        self.incumbent = empty_association(self.inst.n_cells, self.inst.n_hubs)
-        self.assign = [-1] * self.inst.n_cells  # -1 means unassigned
-        self.hub_links = [0] * self.inst.n_hubs
-        self.hub_bw = [0] * self.inst.n_hubs  # exact bandwidth total, grid units
-        self.link_caps = self.inst.hub_link_caps.tolist()
-        self.band_caps = self.inst.hub_bandwidth_caps.tolist()
-
-
-def _snapshot(state: _SearchState) -> AssociationMatrix:
-    a = empty_association(state.inst.n_cells, state.inst.n_hubs)
-    for i, j in enumerate(state.assign):
-        if j >= 0:
-            a[i, j] = 1
-    return a
-
-
-def _dfs(state: _SearchState, depth: int):
-    inst = state.inst
-    if state.node_count >= state.node_budget:
-        raise NodeBudgetExceeded(state.node_count, state.incumbent,
-                                 state.incumbent_value)
-    running = state.running
-    if depth == len(state.order):
-        state.node_count += 1
-        if running > state.incumbent_value:
-            state.incumbent_value = running
-            state.incumbent = _snapshot(state)
-        return
-
-    headroom = inst.backhaul_cap_bps - running
-    bound = running + _completion_cap(headroom, state.suffix_sum[depth],
-                                      state.suffix_gcd[depth])
-    if bound <= state.incumbent_value:
-        state.node_count += 1
-        return
-
-    i = state.order[depth]
-    rate = state.rates[i]
-
-    for j in state.admissible[i]:
-        if state.hub_links[j] >= state.link_caps[j]:
-            state.node_count += 1
-            continue
-        used = state.hub_bw[j]
-        total = admit(used, state.bw_units[i][j], state.bw_scale,
-                      state.band_caps[j])
-        if total is None:
-            state.node_count += 1
-            continue
-        if running + rate > inst.backhaul_cap_bps:
-            state.node_count += 1
-            continue
-        state.assign[i] = j
-        state.hub_links[j] += 1
-        state.hub_bw[j] = total
-        state.running += rate
-        _dfs(state, depth + 1)
-        state.running -= rate
-        state.hub_bw[j] = used
-        state.hub_links[j] -= 1
-        state.assign[i] = -1
-        if state.node_count >= state.node_budget:
-            raise NodeBudgetExceeded(state.node_count, state.incumbent,
-                                     state.incumbent_value)
-
-    # the "leave cell i unassigned" branch
-    _dfs(state, depth + 1)
-    if state.node_count >= state.node_budget:
-        raise NodeBudgetExceeded(state.node_count, state.incumbent,
-                                 state.incumbent_value)
-
-
 def solve_exact(inst: ProblemInstance,
                 node_budget: int = 100_000_000) -> tuple[AssociationMatrix, SolveReport]:
     """Globally optimal association by depth-first branch and bound.
@@ -154,35 +55,83 @@ def solve_exact(inst: ProblemInstance,
     the admissible hubs are tried in ascending index before the unassigned
     branch. The incumbent starts as the empty association at value 0, which
     is always feasible, and only strictly better completions replace it.
-    Raises NodeBudgetExceeded if the search expands more than node_budget
-    nodes; the exception carries the best association found so far.
+    Leaves, bound cuts and rejected probes count one node each. On reaching
+    node_budget nodes, even as the search finishes, it raises
+    NodeBudgetExceeded carrying the best association found so far.
     """
     t0 = time.perf_counter()
-    n = inst.n_cells
-
+    n, m = inst.n_cells, inst.n_hubs
+    cap = inst.backhaul_cap_bps
     rates = inst.int_rates
     order = sorted(range(n), key=lambda i: (-rates[i], i))
-    suffix_sum = [0] * (n + 1)
-    suffix_gcd = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix_sum[k] = suffix_sum[k + 1] + rates[order[k]]
-        suffix_gcd[k] = math.gcd(suffix_gcd[k + 1], rates[order[k]])
-
-    sinr = inst.link_table.sinr_db
-    admissible = [[j for j in range(inst.n_hubs) if sinr[i, j] >= inst.sinr_min_db]
-                  for i in range(n)]
-
+    # total and gcd of the demands of cells order[k:]
+    tail_rates = [rates[i] for i in reversed(order)]
+    suffix_sum = list(accumulate(tail_rates, initial=0))[::-1]
+    suffix_gcd = list(accumulate(tail_rates, math.gcd, initial=0))[::-1]
+    admissible = [np.flatnonzero(row).tolist()
+                  for row in inst.link_table.sinr_db >= inst.sinr_min_db]
     units, scale = exact_grid(inst.link_table.bandwidth_hz.ravel())
-    m = inst.n_hubs
-    state = _SearchState(inst=inst, order=order, rates=rates, suffix_sum=suffix_sum,
-                         suffix_gcd=suffix_gcd, admissible=admissible,
-                         bw_units=[units[i * m:(i + 1) * m] for i in range(n)],
-                         bw_scale=scale, node_budget=node_budget)
-    _dfs(state, 0)
+    link_caps = inst.hub_link_caps.tolist()
+    band_caps = inst.hub_bandwidth_caps.tolist()
 
-    wall = time.perf_counter() - t0
-    return state.incumbent, solve_report(inst, state.incumbent, "exact", wall,
-                                         state.node_count, state.node_count)
+    assign = [-1] * n  # hub per cell, -1 for unassigned
+    links = [0] * m
+    used = [0] * m  # each hub's exact bandwidth total, grid units
+    nodes = 0
+    best = assign[:]
+    best_value = 0
+
+    def incumbent() -> AssociationMatrix:
+        a = empty_association(n, m)
+        for i, j in enumerate(best):
+            if j >= 0:
+                a[i, j] = 1
+        return a
+
+    def dfs(depth: int, running: int):
+        nonlocal nodes, best, best_value
+        if nodes >= node_budget:
+            raise NodeBudgetExceeded(nodes, incumbent(), best_value)
+        if depth == n:
+            nodes += 1
+            if running > best_value:
+                best, best_value = assign[:], running
+            return
+        headroom = cap - running
+        if headroom <= 0:
+            gain = 0
+        elif headroom >= suffix_sum[depth]:
+            gain = suffix_sum[depth]
+        else:
+            gain = math.floor(headroom / suffix_gcd[depth]) * suffix_gcd[depth]
+        if running + gain <= best_value:
+            nodes += 1
+            return
+
+        i = order[depth]
+        rate = rates[i]
+        for j in admissible[i]:
+            total = None
+            if links[j] < link_caps[j] and running + rate <= cap:
+                total = admit(used[j], units[i * m + j], scale, band_caps[j])
+            if total is None:
+                nodes += 1
+                continue
+            saved, used[j] = used[j], total
+            assign[i] = j
+            links[j] += 1
+            dfs(depth + 1, running + rate)
+            used[j] = saved
+            links[j] -= 1
+            assign[i] = -1
+        # the "leave cell i unassigned" branch
+        dfs(depth + 1, running)
+
+    dfs(0, 0)
+    if nodes >= node_budget:
+        raise NodeBudgetExceeded(nodes, incumbent(), best_value)
+    a = incumbent()
+    return a, solve_report(inst, a, "exact", time.perf_counter() - t0, nodes, nodes)
 
 
 def _fsum_feasible(inst: ProblemInstance, choice: np.ndarray) -> bool:

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -259,54 +260,39 @@ def complexity_sweep(seed: int, sizes=(10, 25, 50, 100, 200), *,
 # artifact writers
 
 
-def _fmt(value) -> str:
-    """Canonical cell text: floats through repr for round-trip stability."""
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
-
-
-def _open_csv(path: Path):
+def _write_csv(path: Path, header: list[str], rows):
+    """Header, then the rows as they stream in. Values must be Python
+    scalars: csv writes floats through repr, so they round-trip, and None as
+    an empty field."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", newline="")
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_layout_csv(path: Path, layout: Layout, cfg: ScenarioConfig):
     """Cells, then hubs; every hub carries the config's bandwidth and link
     caps."""
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["kind", "id", "x_m", "y_m", "h_m", "rate_bps",
-                    "bandwidth_cap_hz", "link_cap"])
-        for i, ((x, y), rate) in enumerate(zip(layout.cells.tolist(),
-                                               layout.rates.tolist())):
-            w.writerow(["cell", i, _fmt(x), _fmt(y), _fmt(0.0), _fmt(rate),
-                        "", ""])
-        for j, (x, y, h) in enumerate(layout.hubs.tolist()):
-            w.writerow(["hub", j, _fmt(x), _fmt(y), _fmt(h), "",
-                        _fmt(cfg.hub_bandwidth_hz), cfg.hub_link_cap])
+    cells = (["cell", i, x, y, 0.0, rate, None, None]
+             for i, ((x, y), rate) in enumerate(zip(layout.cells.tolist(),
+                                                    layout.rates.tolist())))
+    hubs = (["hub", j, x, y, h, None, cfg.hub_bandwidth_hz, cfg.hub_link_cap]
+            for j, (x, y, h) in enumerate(layout.hubs.tolist()))
+    _write_csv(path, ["kind", "id", "x_m", "y_m", "h_m", "rate_bps",
+                      "bandwidth_cap_hz", "link_cap"], chain(cells, hubs))
 
 
 def write_links_csv(path: Path, table: LinkTable):
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["cell", "hub", "pl_db", "sinr_db", "spec_eff", "bw_hz"])
-        for i in range(table.n_cells):
-            for j in range(table.n_hubs):
-                w.writerow([i, j, _fmt(float(table.pl_db[i, j])),
-                            _fmt(float(table.sinr_db[i, j])),
-                            _fmt(float(table.spec_eff[i, j])),
-                            _fmt(float(table.bandwidth_hz[i, j]))])
+    m = table.n_hubs
+    columns = zip(table.pl_db.ravel().tolist(), table.sinr_db.ravel().tolist(),
+                  table.spec_eff.ravel().tolist(), table.bandwidth_hz.ravel().tolist())
+    _write_csv(path, ["cell", "hub", "pl_db", "sinr_db", "spec_eff", "bw_hz"],
+               ((k // m, k % m, *values) for k, values in enumerate(columns)))
 
 
 def write_assoc_csv(path: Path, a: AssociationMatrix):
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["cell", "hub"])
-        for i, j in zip(*np.nonzero(a)):
-            w.writerow([int(i), int(j)])
+    _write_csv(path, ["cell", "hub"], np.argwhere(a).tolist())
 
 
 REPORT_FIELDS = ["method", "sum_rate_bps", "n_associated", "per_hub_links",
@@ -317,21 +303,18 @@ REPORT_FIELDS = ["method", "sum_rate_bps", "n_associated", "per_hub_links",
 def write_report_csv(path: Path, report: SolveReport):
     """One-row CSV of the report, minus wall time (kept out so reruns stay
     byte-identical; see write_timing)."""
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(REPORT_FIELDS)
-        w.writerow([
-            report.method,
-            _fmt(report.sum_rate_bps),
-            report.n_associated,
-            ";".join(str(k) for k in report.per_hub_links),
-            report.hubs_in_use,
-            report.feasible,
-            report.op_count,
-            "" if report.node_count is None else report.node_count,
-            report.rng_algorithm,
-            _fmt(report.seed),
-        ])
+    _write_csv(path, REPORT_FIELDS, [[
+        report.method,
+        report.sum_rate_bps,
+        report.n_associated,
+        ";".join(str(k) for k in report.per_hub_links),
+        report.hubs_in_use,
+        report.feasible,
+        report.op_count,
+        report.node_count,
+        report.rng_algorithm,
+        report.seed,
+    ]])
 
 
 def write_timing(path: Path, report: SolveReport):
@@ -340,13 +323,9 @@ def write_timing(path: Path, report: SolveReport):
 
 
 def _write_sweep_csv(path: Path, rows: list[dict]):
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["constraints", "method", "n_associated", "sum_rate_bps",
-                    "violates_full"])
-        for r in rows:
-            w.writerow([r["constraints"], r["method"], r["n_associated"],
-                        _fmt(r["sum_rate_bps"]), r["violates_full"]])
+    fields = ["constraints", "method", "n_associated", "sum_rate_bps",
+              "violates_full"]
+    _write_csv(path, fields, ([r[k] for k in fields] for r in rows))
 
 
 def _derived_block(prepared: PreparedScenario) -> dict:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from skyhaul.config import (ConfigError, ScenarioConfig, load_config,
@@ -54,6 +56,26 @@ class TestLoadConfig:
         assert cfg.hub_link_cap == 5
         assert cfg.rate_menu_bps == (30e6, 60e6)
         assert cfg.alpha == table1_urban().alpha  # untouched preset field
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(),
+        ScenarioConfig(seed=7, pl_exponent=2.5, noise_w=2e-13, hub_link_cap=3,
+                       rate_menu_bps=(1.0, 3.0), solver="greedy",
+                       constraints="qos-only"),
+    ], ids=["defaults", "changed"])
+    def test_every_field_round_trips(self, tmp_path, cfg):
+        lines = ["[scenario]"]
+        for field in dataclasses.fields(cfg):
+            value = getattr(cfg, field.name)
+            if isinstance(value, tuple):
+                value = ", ".join(repr(v) for v in value)
+            lines.append(f"{field.name} = {value}")
+        path = tmp_path / "scenario.ini"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_config(path)
+        assert loaded == cfg
+        for field in dataclasses.fields(cfg):
+            assert type(getattr(loaded, field.name)) is type(getattr(cfg, field.name))
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "scenario.ini"

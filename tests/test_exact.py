@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from _builders import make_instance
 from skyhaul.association import check_feasible, objective, solve_greedy
+from skyhaul.config import ScenarioConfig
 from skyhaul.exact import (NodeBudgetExceeded, SizeGuardError, enumerate_all,
                            solve_exact)
+from skyhaul.harness import prepare_scenario
 from skyhaul.instances import RATE_MENU_BPS, random_instance
 
 
@@ -116,3 +118,31 @@ class TestDeterminism:
         assert (a1 == a2).all()
         assert r1.node_count == r2.node_count
         assert r1.sum_rate_bps == r2.sum_rate_bps
+
+
+class TestHardSeedPanel:
+    # the hardest default-preset seeds under all constraints; node counts are
+    # the regression signal for the visit order, the bound and the counting
+    @pytest.mark.parametrize("seed, nodes, sum_rate", [
+        (3655, 26_824, 1470e6),
+        (371, 25_663, 780e6),
+        (45, 19_438, 1320e6),
+        (7, 20_705, 1020e6),
+        (138, 13_471, 1350e6),
+        (396, 16_304, 810e6),
+    ])
+    def test_node_count_and_sum_rate(self, seed, nodes, sum_rate):
+        inst = prepare_scenario(ScenarioConfig(seed=seed)).instance
+        _, report = solve_exact(inst)
+        assert report.node_count == nodes
+        assert report.sum_rate_bps == sum_rate
+
+    def test_budget_reached_as_search_finishes_raises(self):
+        # the case study counts 26,824 nodes: a budget of exactly that many
+        # raises even though the search is complete, one more returns
+        inst = prepare_scenario(ScenarioConfig()).instance
+        with pytest.raises(NodeBudgetExceeded) as exc_info:
+            solve_exact(inst, node_budget=26_824)
+        assert exc_info.value.incumbent_value == 1470e6
+        _, report = solve_exact(inst, node_budget=26_825)
+        assert report.node_count == 26_824
