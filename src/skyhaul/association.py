@@ -12,10 +12,12 @@ totals as exact Python ints. Every partial sum of such demands is also exact
 in a double, so the solvers' rate verdicts equal those of the feasibility
 checker, which sums with math.fsum. Bandwidths are arbitrary doubles, so the
 solvers keep each hub's bandwidth total as an exact int too: `exact_grid`
-puts the bandwidths on one power-of-two grid, and `admit` divides a hub's
-int total by the grid scale once per probe. That division is correctly
-rounded, so the verdict equals the checker's fsum verdict and no verdict
-depends on accumulation order.
+puts the bandwidths on one power-of-two grid, `grid_limit` finds once per
+hub the largest int total whose quotient by the grid scale is at most the
+cap, and `admit` compares a hub's int total with that limit once per probe.
+Int/int true division is correctly rounded, as fsum is, so the verdict
+equals the checker's fsum verdict and no verdict depends on accumulation
+order.
 """
 
 import functools
@@ -123,27 +125,48 @@ def exact_grid(values: np.ndarray) -> tuple[list, int]:
     return units, 1 << -low
 
 
-def admit(used: int, units, scale: int, cap: float) -> int | None:
+def grid_limit(cap: float, scale: int) -> int | float:
+    """The largest int total t with t / scale <= cap, for `admit`.
+
+    On an `exact_grid` of this scale, a total fits the cap iff it is at most
+    the limit. A non-finite cap comes back as is: every int compares with it
+    as its quotient does.
+    """
+    if not math.isfinite(cap):
+        return cap
+    # a quotient rounds to at most cap iff it lies below the midpoint of cap
+    # and the next double up, or on it when cap is the even one of the two
+    up = math.nextafter(cap, math.inf)
+    num, den = cap.as_integer_ratio()
+    up_num, up_den = (1 << 1024, 1) if up == math.inf else up.as_integer_ratio()
+    t = (num * up_den + up_num * den) * scale // (2 * den * up_den)
+    try:
+        on_cap_side = t / scale <= cap
+    except OverflowError:  # a tie at the largest double rounds past it
+        on_cap_side = False
+    return t if on_cap_side else t - 1
+
+
+def admit(used: int, units, limit: int | float) -> int | None:
     """Exact bandwidth packing: the new total if the probed value fits, else
     None.
 
     `used` is the int total of the accepted values and `units` the probed
-    value's, both on one `exact_grid`. The value fits when
-    math.fsum(accepted + [value]) <= cap, and the verdict is exactly fsum's:
-    int/int true division is correctly rounded, as fsum is, and a finite
-    total past the double range raises OverflowError, as fsum does. Special
-    cases, kept so that the total stays an exact int:
+    value's, both on one `exact_grid`, and `limit` is the cap's `grid_limit`
+    on that grid. The value fits when math.fsum(accepted + [value]) <= cap,
+    and the verdict is exactly fsum's, except that a total past the double
+    range does not fit where fsum raises OverflowError. Special cases, kept
+    so that the total stays an exact int:
 
-    - under an infinite cap every value but NaN fits without a division;
+    - under an infinite cap every value but NaN fits;
     - a non-finite value never fits a finite cap (fsum gives inf or NaN; no
       link table holds a -inf bandwidth), and where it fits an infinite cap
       it adds nothing to the total, which that cap never reads.
     """
     if type(units) is float:
-        return used if cap == math.inf and units == units else None
-    if cap == math.inf or (used + units) / scale <= cap:
-        return used + units
-    return None
+        return used if limit == math.inf and units == units else None
+    total = used + units
+    return total if total <= limit else None
 
 
 def _check_dims(inst: ProblemInstance, a: AssociationMatrix):
@@ -240,7 +263,7 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     units, scale = exact_grid(bw[order])
     ends = np.cumsum(np.bincount(cols, minlength=inst.n_hubs)).tolist()
     link_caps = inst.hub_link_caps.tolist()
-    band_caps = inst.hub_bandwidth_caps.tolist()
+    limits = [grid_limit(c, scale) for c in inst.hub_bandwidth_caps.tolist()]
     taken_rows: list[int] = []
     taken_cols: list[int] = []
     start = 0
@@ -250,7 +273,7 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
             if links >= link_caps[j]:
                 break
             probes += 1
-            total = admit(used, u, scale, band_caps[j])
+            total = admit(used, u, limits[j])
             if total is not None:
                 taken_rows.append(i)
                 taken_cols.append(j)

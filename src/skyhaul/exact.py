@@ -12,7 +12,8 @@ add: nothing without backhaul headroom, all their demand if it fits, else
 the headroom rounded down to a multiple of the gcd of their demands, since
 demands are whole bps. Rate totals are exact Python ints (below 2**53, so
 they equal the checker's fsum); each hub's bandwidth total is an exact int
-on one `exact_grid`, judged by `admit` as in greedy step 2.
+on one `exact_grid`, judged by `admit` against its `grid_limit` as in
+greedy step 2.
 """
 
 import math
@@ -22,7 +23,8 @@ from itertools import accumulate
 import numpy as np
 
 from .association import (AssociationMatrix, ProblemInstance, empty_association,
-                          admit, exact_grid, objective, solve_report)
+                          admit, exact_grid, grid_limit, objective,
+                          solve_report)
 # perfbench/spans.py traces feasibility checks under this module's name
 from .association import check_feasible  # noqa: F401
 from .report import SolveReport
@@ -72,7 +74,7 @@ def solve_exact(inst: ProblemInstance,
                   for row in inst.link_table.sinr_db >= inst.sinr_min_db]
     units, scale = exact_grid(inst.link_table.bandwidth_hz.ravel())
     link_caps = inst.hub_link_caps.tolist()
-    band_caps = inst.hub_bandwidth_caps.tolist()
+    limits = [grid_limit(c, scale) for c in inst.hub_bandwidth_caps.tolist()]
 
     assign = [-1] * n  # hub per cell, -1 for unassigned
     links = [0] * m
@@ -113,7 +115,7 @@ def solve_exact(inst: ProblemInstance,
         for j in admissible[i]:
             total = None
             if links[j] < link_caps[j] and running + rate <= cap:
-                total = admit(used[j], units[i * m + j], scale, band_caps[j])
+                total = admit(used[j], units[i * m + j], limits[j])
             if total is None:
                 nodes += 1
                 continue

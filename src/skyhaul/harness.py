@@ -5,10 +5,12 @@ fleet, evaluate the channel, then solve the association with the selected
 solvers. Every run re-checks the solver outputs with the independent
 feasibility checker before anything is written.
 
-Artifacts per run directory: layout.csv, links.csv, assoc_<method>.csv,
-report_<method>.csv, timing_<method>.txt and summary.json. All CSVs are
-byte-stable for a fixed (config, seed); wall-clock numbers are quarantined
-in the timing files so rerunning never perturbs the CSVs.
+Artifacts per run directory: layout.csv, links.npy, assoc_<method>.csv,
+report_<method>.csv, timing_<method>.txt and summary.json. links.npy is the
+link table as one (4, n_cells, n_hubs) float64 array, axis 0 in LinkTable
+field order (pl_db, sinr_db, spec_eff, bandwidth_hz). Every file but the
+timing ones is byte-stable for a fixed (config, seed); wall-clock numbers
+are quarantined in the timing files so rerunning never perturbs the rest.
 """
 
 import csv
@@ -283,14 +285,6 @@ def write_layout_csv(path: Path, layout: Layout, cfg: ScenarioConfig):
                       "bandwidth_cap_hz", "link_cap"], chain(cells, hubs))
 
 
-def write_links_csv(path: Path, table: LinkTable):
-    m = table.n_hubs
-    columns = zip(table.pl_db.ravel().tolist(), table.sinr_db.ravel().tolist(),
-                  table.spec_eff.ravel().tolist(), table.bandwidth_hz.ravel().tolist())
-    _write_csv(path, ["cell", "hub", "pl_db", "sinr_db", "spec_eff", "bw_hz"],
-               ((k // m, k % m, *values) for k, values in enumerate(columns)))
-
-
 def write_assoc_csv(path: Path, a: AssociationMatrix):
     _write_csv(path, ["cell", "hub"], np.argwhere(a).tolist())
 
@@ -357,7 +351,10 @@ def write_run_artifacts(out_dir: Path, result: RunResult):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_layout_csv(out_dir / "layout.csv", result.prepared.layout,
                      result.prepared.cfg)
-    write_links_csv(out_dir / "links.csv", result.prepared.link_table)
+    table = result.prepared.link_table
+    np.save(out_dir / "links.npy", np.stack([table.pl_db, table.sinr_db,
+                                             table.spec_eff, table.bandwidth_hz]),
+            allow_pickle=False)
     for method, a in result.matrices.items():
         write_assoc_csv(out_dir / f"assoc_{method}.csv", a)
         write_report_csv(out_dir / f"report_{method}.csv", result.reports[method])

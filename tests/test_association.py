@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from _builders import make_instance
 from skyhaul.association import (check_feasible, empty_association,
                                  admit, exact_grid, greedy_step1, greedy_step2,
-                                 greedy_step3, objective, solve_greedy)
+                                 greedy_step3, grid_limit, objective,
+                                 solve_greedy)
 from skyhaul.instances import random_instance
 
 
@@ -115,13 +117,36 @@ class TestExactBandwidthVerdict:
             tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf),
             math.inf, finite[0] if finite else 0.0]))
         units, scale = exact_grid(np.asarray(values))
+        limit = grid_limit(cap, scale)
         used, accepted = 0, []
         for v, u in zip(values, units):
-            total = admit(used, u, scale, cap)
+            total = admit(used, u, limit)
             assert (total is not None) == (math.fsum(accepted + [v]) <= cap)
             if total is not None:
                 accepted.append(v)
                 used = total
+
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.just(sys.float_info.max)),
+           st.integers(min_value=0, max_value=1126).map(lambda k: 1 << k))
+    @settings(max_examples=500, deadline=None)
+    def test_limit_is_the_largest_fitting_total(self, cap, scale):
+        # scales up to 2**1126, the finest grid exact_grid makes (5e-324)
+        t = grid_limit(cap, scale)
+        assert t / scale <= cap
+        try:
+            assert (t + 1) / scale > cap
+        except OverflowError:  # past every double, so past the cap
+            pass
+
+    def test_total_past_double_range_does_not_fit(self):
+        # fsum raises OverflowError on this sum; admit refuses the probe
+        cap = sys.float_info.max
+        units, scale = exact_grid(np.array([cap, cap]))
+        limit = grid_limit(cap, scale)
+        used = admit(0, units[0], limit)
+        assert used is not None
+        assert admit(used, units[1], limit) is None
 
     @given(st.lists(_BANDWIDTHS, min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)

@@ -14,6 +14,12 @@ from skyhaul.harness import (SeedSearchError, complexity_sweep, draw_cells,
                              run_scenario, seed_search, sweep_constraints)
 
 CASE_STUDY = table1_urban()
+# the dense-field benchmark preset: ~240 cells x ~35 hubs on a 2 km side
+DENSE = dataclasses.replace(CASE_STUDY, cell_intensity_per_m2=1e-4,
+                            cell_min_sep_m=40.0, hub_altitude_m=100.0,
+                            pl_max_db=80.0, area_side_m=2000.0, seed=1,
+                            solver="greedy")
+EMPTY = dataclasses.replace(CASE_STUDY, cell_intensity_per_m2=0.0)
 
 
 def read_lines(path):
@@ -53,10 +59,27 @@ class TestRunScenario:
     def test_emits_all_artifacts(self, tmp_path):
         run_scenario(CASE_STUDY, tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
-        assert names == {"layout.csv", "links.csv", "assoc_greedy.csv",
+        assert names == {"layout.csv", "links.npy", "assoc_greedy.csv",
                          "assoc_exact.csv", "report_greedy.csv",
                          "report_exact.csv", "timing_greedy.txt",
                          "timing_exact.txt", "summary.json"}
+
+    @pytest.mark.parametrize("cfg", [CASE_STUDY, DENSE, EMPTY],
+                             ids=["case-study", "dense-field", "zero-intensity"])
+    def test_links_npy_holds_the_link_table_bit_for_bit(self, tmp_path, cfg):
+        table = run_scenario(cfg, tmp_path).prepared.link_table
+        stacked = np.stack([table.pl_db, table.sinr_db, table.spec_eff,
+                            table.bandwidth_hz])
+        saved = np.load(tmp_path / "links.npy")
+        assert saved.dtype == np.float64
+        assert saved.shape == (4, table.n_cells, table.n_hubs)
+        assert saved.tobytes() == stacked.tobytes()
+
+    def test_links_npy_is_byte_stable_across_reruns(self, tmp_path):
+        run_scenario(CASE_STUDY, tmp_path / "first")
+        run_scenario(CASE_STUDY, tmp_path / "second")
+        assert ((tmp_path / "first" / "links.npy").read_bytes()
+                == (tmp_path / "second" / "links.npy").read_bytes())
 
     def test_reports_verified_independently(self):
         result = run_scenario(CASE_STUDY)
