@@ -96,10 +96,16 @@ def place_fleet(cfg: "ScenarioConfig", n_hubs: int, min_sep: float, seed: Seed) 
     Draws a hard-core layout at the scenario's parent intensity and takes the
     first n_hubs points in generation order. A short draw is retried with a
     derived sub-seed, up to PLACEMENT_RETRIES times; running out of retries
-    means the region cannot reliably fit the fleet at this separation.
+    means the region cannot reliably fit the fleet at this separation. A
+    separation of at least the area side raises PlacementError at once: the
+    hard-core process is undefined there.
     """
     if n_hubs < 1:
         raise ValueError("n_hubs must be >= 1")
+    if min_sep >= cfg.area_side_m:
+        raise PlacementError(
+            f"hub min separation {min_sep:.0f} m is not below the area side "
+            f"{cfg.area_side_m:.0f} m")
     spec = HardCoreSpec(cfg.area_side_m, cfg.cell_intensity_per_m2, min_sep)
     for attempt in range(PLACEMENT_RETRIES + 1):
         attempt_seed = seed if attempt == 0 else sub_seed(seed, attempt)

@@ -91,6 +91,11 @@ class TestPlaceFleet:
         with pytest.raises(PlacementError):
             place_fleet(cfg, 100, 3_900.0, seed=(0, 2))
 
+    def test_separation_equal_to_side_raises(self):
+        cfg = table1_urban()
+        with pytest.raises(PlacementError, match="4000 m"):
+            place_fleet(cfg, 1, cfg.area_side_m, seed=(0, 2))
+
     def test_deterministic(self):
         cfg = dataclasses.replace(table1_urban(), seed=11)
         a = place_fleet(cfg, 1, 500.0, seed=(11, 2))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +8,71 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import make_layout
-from skyhaul.channel import build_link_table, p_los, path_loss_db
+from skyhaul.channel import (build_link_table, coverage_radius, p_los,
+                             path_loss_db)
 from skyhaul.config import table1_urban
 from skyhaul.geometry import (HardCoreSpec, hardcore_thin, matern_type1,
                               poisson_points)
+from skyhaul.units import sub_seed
 
 URBAN_SPEC = HardCoreSpec(area_side=4000.0, intensity=2e-6, min_separation=300.0)
 CASE_STUDY = table1_urban()
+DENSE_FIELD = dataclasses.replace(
+    CASE_STUDY, cell_intensity_per_m2=1e-4, cell_min_sep_m=40.0,
+    hub_altitude_m=100.0, pl_max_db=80.0, solver="greedy", area_side_m=2000.0)
+
+
+def cube_thin(points, min_separation):
+    """All-pairs thinning through an n x n x 2 difference cube: the oracle
+    the sweep in hardcore_thin must match bit for bit."""
+    if len(points) < 2:
+        return points
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    return points[d2.min(axis=1) >= min_separation**2]
+
+
+def assert_matches_cube(points, min_separation):
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    assert np.array_equal(hardcore_thin(points, min_separation),
+                          cube_thin(points, min_separation))
+
+
+def parent_draws(cfg, seeds):
+    """(points, separation) of the cell and hub parent draws of each master
+    seed, as prepare_scenario and place_fleet's first attempt make them."""
+    hub_sep = coverage_radius(cfg.channel, cfg.hub_altitude_m, cfg.pl_max_db)
+    for sep, stream in ((cfg.cell_min_sep_m, 0), (hub_sep, 2)):
+        spec = HardCoreSpec(cfg.area_side_m, cfg.cell_intensity_per_m2, sep)
+        for seed in seeds:
+            yield poisson_points(spec, sub_seed(seed, stream)), sep
+
+
+@st.composite
+def thinning_inputs(draw):
+    """A point set and a separation from 1 m to just under the 4 km side.
+
+    Coordinates mix free floats with a few snap values, so that points
+    share x values and coincide; pairs are added exactly the separation
+    apart, or one ulp inside or outside it, along x or along y, with an
+    optional small offset across, then the rows are shuffled.
+    """
+    side = 4000.0
+    sep = draw(st.one_of(
+        st.floats(1.0, side, exclude_max=True),
+        st.sampled_from([1.0, 40.0, 300.0, 1000.0 / 3.0, math.nextafter(side, 0.0)])))
+    coord = st.one_of(st.floats(0.0, side),
+                      st.sampled_from([0.0, 0.1, sep, 2.0 * sep, side / 3.0, side]))
+    rows = draw(st.lists(st.tuples(coord, coord), max_size=30))
+    offset = st.sampled_from([sep, math.nextafter(sep, 0.0), math.nextafter(sep, math.inf)])
+    for x, y in draw(st.lists(st.tuples(coord, coord), max_size=8)):
+        d, across = draw(offset), draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+        rows += [(x, y), (x + d, y + across) if draw(st.booleans()) else (x + across, y + d)]
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))  # duplicates
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[k] for k in order], dtype=float).reshape(-1, 2), sep
 
 
 def pairwise_min_distance(points):
@@ -91,6 +151,67 @@ class TestHardcoreThin:
         # deletion requires strictly closer than the hard-core radius
         pts = np.array([[0.0, 0.0], [300.0, 0.0]])
         assert np.array_equal(hardcore_thin(pts, 300.0), pts)
+
+
+class TestHardcoreThinSweep:
+    """The x-sorted sweep keeps exactly the points the all-pairs cube keeps."""
+
+    @given(thinning_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cube(self, case):
+        assert_matches_cube(*case)
+
+    @pytest.mark.parametrize("sep", [1.0, 0.1, 40.0, 300.0, 1000.0 / 3.0, 3999.9])
+    @pytest.mark.parametrize("anchor", [0.0, 0.1, 123.456, 2000.3])
+    def test_one_ulp_inside_and_outside(self, sep, anchor):
+        rows = []
+        for d in (math.nextafter(sep, 0.0), sep, math.nextafter(sep, math.inf)):
+            for base in (anchor, anchor + 5 * sep):
+                y0 = 10.0 * sep * len(rows)  # each group far from the others
+                rows += [(base, y0), (base + d, y0),  # a pair along x
+                         (base, y0 + 1.5 * sep), (base, y0 + 1.5 * sep + d)]  # along y
+        assert_matches_cube(rows, sep)
+
+    @pytest.mark.parametrize("sep", [1.0, 10.0, 100.0, 1000.0, 3000.0,
+                                     math.nextafter(4000.0, 0.0)])
+    def test_separations_up_to_the_side(self, sep):
+        rng = np.random.default_rng(int(sep))
+        assert_matches_cube(rng.uniform(0.0, 4000.0, (300, 2)), sep)
+
+    @pytest.mark.parametrize("cfg", [DENSE_FIELD, CASE_STUDY],
+                             ids=["dense-field", "table1_urban"])
+    def test_parent_draws_of_seeds_0_to_99(self, cfg):
+        for points, sep in parent_draws(cfg, range(100)):
+            assert_matches_cube(points, sep)
+
+    @given(thinning_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_kept_pairs_apart_and_dropped_points_have_a_close_neighbour(self, case):
+        points, sep = case
+        kept = hardcore_thin(points, sep).tolist()
+        limit = sep**2
+
+        def d2(a, b):
+            return (a[0] - b[0]) * (a[0] - b[0]) + (a[1] - b[1]) * (a[1] - b[1])
+
+        rows = points.tolist()
+        for k, a in enumerate(rows):
+            has_close = any(d2(a, b) < limit for b in rows[:k] + rows[k + 1:])
+            assert (a in kept) != has_close
+        for k, a in enumerate(kept):
+            assert all(d2(a, b) >= limit for b in kept[k + 1:])
+
+    def test_allocates_far_less_than_n_squared(self):
+        # 3,000 points at 4 m on a 4 km side: about 9k candidate pairs,
+        # where one n x n bool table alone would take 9 MB
+        points = np.random.default_rng(3).uniform(0.0, 4000.0, (3000, 2))
+        tracemalloc.start()
+        try:
+            hardcore_thin(points, 4.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(points) ** 2 // 4
 
 
 class TestMaternType1:

@@ -197,6 +197,15 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r").exists()
 
+    def test_hub_separation_past_area_side_exit_three(self, tmp_path, capsys):
+        # a 100 MHz carrier puts the coverage radius, the hub separation,
+        # at about 8.06 km, past the 4 km side
+        ini = tmp_path / "low_carrier.ini"
+        ini.write_text("[scenario]\ncarrier_hz = 1e8\n")
+        assert main(["run", "--config", str(ini), "--out", str(tmp_path / "r")]) == 3
+        assert not (tmp_path / "r").exists()
+        assert "4000 m" in capsys.readouterr().err
+
     def test_seed_search_not_found_exit_three(self):
         assert main(["seed-search", "--target", "9999",
                      "--max-seeds", "20"]) == 3
