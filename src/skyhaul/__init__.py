@@ -9,7 +9,7 @@ three-step greedy and by an exact branch-and-bound benchmark.
 from .association import (AssociationMatrix, FeasibilityReport,
                           ProblemInstance, check_feasible, empty_association,
                           objective, solve_greedy)
-from .channel import (ChannelParams, CoverageError, LinkTable, RadioParams,
+from .channel import (ChannelParams, CoverageError, LinkTable,
                       build_link_table, coverage_radius, p_los, path_loss_db)
 from .config import ConfigError, ScenarioConfig, load_config, table1_urban
 from .deployment import (DeploymentError, FleetPlan, Layout, PlacementError,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssociationMatrix", "FeasibilityReport", "ProblemInstance",
     "check_feasible", "empty_association", "objective", "solve_greedy",
-    "ChannelParams", "CoverageError", "LinkTable", "RadioParams",
+    "ChannelParams", "CoverageError", "LinkTable",
     "build_link_table", "coverage_radius", "p_los", "path_loss_db",
     "ConfigError", "ScenarioConfig", "load_config", "table1_urban",
     "DeploymentError", "FleetPlan", "Layout", "PlacementError",

@@ -5,6 +5,10 @@ elevation angle; mean path loss adds angle-weighted LoS/NLoS excess losses on
 top of free-space loss. SINR treats every hub as a co-channel interferer
 transmitting continuously at full power. Every function here works
 elementwise on numpy arrays; a whole cell x hub table is one evaluation.
+
+ChannelParams holds the environment constants that the propagation
+functions take on their own. build_link_table reads the link budget
+(tx_power_w, noise_w) straight from the ScenarioConfig, which validates it.
 """
 
 import math
@@ -18,6 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .deployment import Layout
 
 LIGHT_SPEED = 2.998e8  # m/s
+# coverage_radius doubles its bracket from max(h, 1) at most this many times
+BRACKET_DOUBLINGS = 60
 
 
 class CoverageError(RuntimeError):
@@ -34,7 +40,6 @@ class ChannelParams:
     eta_nlos_db: float  # excess loss on NLoS links, dB
     carrier_hz: float
     pl_exponent: float = 2.0
-    light_speed: float = LIGHT_SPEED
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
@@ -45,22 +50,6 @@ class ChannelParams:
             raise ValueError("carrier_hz must be positive")
         if not (self.pl_exponent >= 2):
             raise ValueError("pl_exponent must be >= 2")
-
-
-@dataclass(frozen=True)
-class RadioParams:
-    """Link-budget constants shared by every cell-to-hub link."""
-
-    tx_power_w: float
-    noise_w: float
-    sinr_min_db: float
-    pl_max_db: float
-
-    def __post_init__(self):
-        if not (self.tx_power_w > 0):
-            raise ValueError("tx_power_w must be positive")
-        if not (self.noise_w > 0):
-            raise ValueError("noise_w must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,7 +99,7 @@ def path_loss_db(params: ChannelParams, s, h):
     d = np.hypot(h, s)
     if np.any(d == 0.0):
         raise ValueError("cell and hub are co-located")
-    fspl = 10.0 * np.log10((4.0 * math.pi * params.carrier_hz * d / params.light_speed) ** params.pl_exponent)
+    fspl = 10.0 * np.log10((4.0 * math.pi * params.carrier_hz * d / LIGHT_SPEED) ** params.pl_exponent)
     p = p_los(params, np.arctan2(h, s))
     return fspl + p * params.eta_los_db + (1.0 - p) * params.eta_nlos_db
 
@@ -128,12 +117,12 @@ def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
     s = np.hypot(cells[:, None, 0] - hubs[None, :, 0],
                  cells[:, None, 1] - hubs[None, :, 1])
     pl = path_loss_db(cfg.channel, s, hubs[None, :, 2])
-    rx = cfg.radio.tx_power_w * 10.0 ** (-pl / 10.0)
+    rx = cfg.tx_power_w * 10.0 ** (-pl / 10.0)
 
     # The interference at cell i from every hub but j is the fsum of row i
     # minus rx_ij: one exact row sum, so no result depends on hub order.
     total = np.array([math.fsum(row) for row in rx.tolist()])
-    sinr = rx / (total[:, None] - rx + cfg.radio.noise_w)
+    sinr = rx / (total[:, None] - rx + cfg.noise_w)
 
     sinr_db = 10.0 * np.log10(sinr)
     spec_eff = np.log2(1.0 + sinr)
@@ -160,7 +149,7 @@ def coverage_radius(params: ChannelParams, h: float, pl_max_db: float) -> float:
         return 0.0
 
     hi = max(h, 1.0)
-    for _ in range(60):
+    for _ in range(BRACKET_DOUBLINGS):
         if pl(hi) >= pl_max_db:
             break
         hi *= 2.0

@@ -18,7 +18,7 @@ from .channel import CoverageError
 from .config import (CONSTRAINT_CHOICES, SOLVER_CHOICES, ConfigError,
                      ScenarioConfig, load_config, table1_urban)
 from .deployment import DeploymentError
-from .exact import NodeBudgetExceeded, SizeGuardError
+from .exact import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, SizeGuardError
 from .harness import SeedSearchError, run_scenario, seed_search, sweep_constraints
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which solver(s) to run (default from config)")
     run.add_argument("--constraints", choices=CONSTRAINT_CHOICES,
                      help="constraint set to enforce (default from config)")
-    run.add_argument("--node-budget", type=int, default=100_000_000,
+    run.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                      metavar="N", help="search-node cap for the exact solver")
 
     sweep = sub.add_parser("sweep",

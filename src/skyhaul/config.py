@@ -3,9 +3,11 @@ loader.
 
 A scenario bundles everything a run needs: the ground-cell point process,
 the demand menu, the air-to-ground channel and radio front-end, hub capacity
-limits, and the master seed. The dataclass defaults reproduce the packaged
-urban study; INI files start from a preset via the `defaults` key and then
-override individual fields.
+limits, and the master seed. ScenarioConfig is the one record of these
+values, and validates them all when built (the channel constants through
+ChannelParams). The dataclass defaults reproduce the packaged urban study;
+INI files start from a preset via the `defaults` key and then override
+individual fields.
 """
 
 import configparser
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import ChannelParams, RadioParams
+from .channel import BRACKET_DOUBLINGS, ChannelParams
 
 
 class ConfigError(ValueError):
@@ -91,18 +93,29 @@ class ScenarioConfig:
             raise ConfigError("rate menu must be ascending")
         if self.backhaul_cap_bps <= 0 or self.hub_bandwidth_hz <= 0:
             raise ConfigError("capacity limits must be positive")
-        if self.hub_link_cap < 1:
-            raise ConfigError("hub_link_cap must be at least 1")
+        if not 1 <= self.hub_link_cap < 2**63:
+            raise ConfigError("hub_link_cap must be at least 1 and fit in int64")
         if self.hub_altitude_m <= 0:
             raise ConfigError("hub_altitude_m must be positive")
+        # the farthest ground distance a run evaluates the elevation angle
+        # at: the area diagonal in the link table, the end of the
+        # coverage_radius bracket
+        far = max(math.hypot(self.area_side_m, self.area_side_m),
+                  max(self.hub_altitude_m, 1.0) * 2.0 ** BRACKET_DOUBLINGS)
+        if math.atan2(self.hub_altitude_m, far) == 0.0:
+            raise ConfigError(f"hub_altitude_m is so small that the elevation "
+                              f"angle underflows to 0 at {far:.3g} m")
         if self.avg_spec_eff <= 0:
             raise ConfigError("avg_spec_eff must be positive")
-        # channel/radio validity is delegated to the param classes
+        # channel validity is delegated to ChannelParams
         try:
             self.channel
-            self.radio
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.tx_power_w <= 0:
+            raise ConfigError("tx_power_w must be positive")
+        if self.noise_w <= 0:
+            raise ConfigError("noise_w must be positive")
 
     @property
     def channel(self) -> ChannelParams:
@@ -111,12 +124,6 @@ class ScenarioConfig:
                              eta_nlos_db=self.eta_nlos_db,
                              carrier_hz=self.carrier_hz,
                              pl_exponent=self.pl_exponent)
-
-    @property
-    def radio(self) -> RadioParams:
-        return RadioParams(tx_power_w=self.tx_power_w, noise_w=self.noise_w,
-                           sinr_min_db=self.sinr_min_db,
-                           pl_max_db=self.pl_max_db)
 
 
 def table1_urban() -> ScenarioConfig:

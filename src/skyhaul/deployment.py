@@ -58,8 +58,6 @@ class FleetPlan:
     n_hubs: int
     per_hub_cell_cap: int
     avg_bandwidth_hz: float
-    avg_spec_eff: float
-    hub_altitude_m: float
     hub_min_sep_m: float
 
 

@@ -45,12 +45,13 @@ class NodeBudgetExceeded(RuntimeError):
         self.incumbent_value = incumbent_value
 
 
+DEFAULT_NODE_BUDGET = 100_000_000
 ENUMERATION_GUARD = 10_000_000
 _ENUM_CHUNK = 1 << 15
 
 
 def solve_exact(inst: ProblemInstance,
-                node_budget: int = 100_000_000) -> tuple[AssociationMatrix, SolveReport]:
+                node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[AssociationMatrix, SolveReport]:
     """Globally optimal association by depth-first branch and bound.
 
     Cells are visited highest demand first (ties: lower index); for each cell

@@ -29,7 +29,7 @@ from .channel import LinkTable, build_link_table, coverage_radius
 from .config import ConfigError, ScenarioConfig
 from .deployment import (FleetPlan, Layout, cells_per_hub, fleet_size,
                          place_fleet)
-from .exact import solve_exact
+from .exact import DEFAULT_NODE_BUDGET, solve_exact
 from .geometry import HardCoreSpec, matern_type1
 from .instances import random_instance
 from .report import SolveReport
@@ -56,8 +56,7 @@ class PreparedScenario:
     cfg: ScenarioConfig
     layout: Layout
     fleet: FleetPlan | None  # None for the empty layout
-    link_table: LinkTable
-    instance: ProblemInstance  # with the full constraint set
+    instance: ProblemInstance  # with the full constraint set, and the link table
 
 
 @dataclass
@@ -90,8 +89,7 @@ def _empty_prepared(cfg: ScenarioConfig) -> PreparedScenario:
                            hub_bandwidth_caps=np.zeros(0),
                            hub_link_caps=np.zeros(0, dtype=int),
                            sinr_min_db=cfg.sinr_min_db)
-    return PreparedScenario(cfg=cfg, layout=layout, fleet=None,
-                            link_table=table, instance=inst)
+    return PreparedScenario(cfg=cfg, layout=layout, fleet=None, instance=inst)
 
 
 def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
@@ -115,8 +113,6 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
     mean_rate = math.fsum(rates.tolist()) / len(cells)
     fleet = FleetPlan(n_hubs=n_hubs, per_hub_cell_cap=per_hub_cap,
                       avg_bandwidth_hz=mean_rate / cfg.avg_spec_eff,
-                      avg_spec_eff=cfg.avg_spec_eff,
-                      hub_altitude_m=cfg.hub_altitude_m,
                       hub_min_sep_m=hub_min_sep)
 
     table = build_link_table(cfg, layout)
@@ -133,8 +129,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
         )
     except ValueError as exc:
         raise ConfigError(f"rate_menu_bps: {exc}") from exc
-    return PreparedScenario(cfg=cfg, layout=layout, fleet=fleet,
-                            link_table=table, instance=inst)
+    return PreparedScenario(cfg=cfg, layout=layout, fleet=fleet, instance=inst)
 
 
 def relax_to_qos_only(inst: ProblemInstance) -> ProblemInstance:
@@ -175,7 +170,7 @@ def solve_verified(inst: ProblemInstance, solver: str, seed: Seed,
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
                  solver: str | None = None, constraints: str | None = None,
-                 node_budget: int = 100_000_000) -> RunResult:
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> RunResult:
     """Full pipeline: prepare, solve with the selected methods, verify, emit.
 
     Solver outputs are re-verified with check_feasible against the solved
@@ -199,7 +194,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
 
 def sweep_constraints(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
                       solver: str = "both",
-                      node_budget: int = 100_000_000) -> list[dict]:
+                      node_budget: int = DEFAULT_NODE_BUDGET) -> list[dict]:
     """Solve one instance under the qos-only subset and the full set.
 
     Returns one row per (constraints, method) with the association size and
@@ -332,7 +327,7 @@ def _derived_block(prepared: PreparedScenario) -> dict:
             "per_hub_cell_cap": prepared.fleet.per_hub_cell_cap,
             "avg_bandwidth_hz": prepared.fleet.avg_bandwidth_hz,
             "hub_min_sep_m": prepared.fleet.hub_min_sep_m,
-            "hub_altitude_m": prepared.fleet.hub_altitude_m,
+            "hub_altitude_m": prepared.cfg.hub_altitude_m,
         })
     return block
 
@@ -351,7 +346,7 @@ def write_run_artifacts(out_dir: Path, result: RunResult):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_layout_csv(out_dir / "layout.csv", result.prepared.layout,
                      result.prepared.cfg)
-    table = result.prepared.link_table
+    table = result.prepared.instance.link_table
     np.save(out_dir / "links.npy", np.stack([table.pl_db, table.sinr_db,
                                              table.spec_eff, table.bandwidth_hz]),
             allow_pickle=False)

@@ -12,9 +12,10 @@ import numpy as np
 
 from .association import ProblemInstance
 from .channel import LinkTable
+from .config import ScenarioConfig
 from .units import Seed, make_rng
 
-RATE_MENU_BPS = tuple(float(m) * 1e6 for m in range(30, 151, 30))
+RATE_MENU_BPS = ScenarioConfig.rate_menu_bps
 
 
 def random_instance(seed: Seed, n_cells: int, n_hubs: int, *,

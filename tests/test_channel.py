@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import make_layout
-from skyhaul.channel import (ChannelParams, CoverageError, RadioParams,
+from skyhaul.channel import (LIGHT_SPEED, ChannelParams, CoverageError,
                              build_link_table, coverage_radius, p_los,
                              path_loss_db)
-from skyhaul.config import table1_urban
+from skyhaul.config import ScenarioConfig, table1_urban
 from skyhaul.deployment import Layout
 from skyhaul.harness import prepare_scenario
 
@@ -49,7 +49,7 @@ class TestParamValidation:
 
     def test_noise_must_be_positive(self):
         with pytest.raises(ValueError):
-            RadioParams(tx_power_w=5.0, noise_w=0.0, sinr_min_db=-5, pl_max_db=110)
+            ScenarioConfig(noise_w=0.0)
 
 
 class TestPLos:
@@ -82,7 +82,7 @@ class TestPathLoss:
         params = ChannelParams(alpha=9.61, beta=0.16, eta_los_db=0.0,
                                eta_nlos_db=0.0, carrier_hz=2e9)
         d = math.hypot(300.0, 400.0)
-        expected = 20.0 * math.log10(4 * math.pi * 2e9 * d / params.light_speed)
+        expected = 20.0 * math.log10(4 * math.pi * 2e9 * d / LIGHT_SPEED)
         assert path_loss_db(params, 400.0, 300.0) == pytest.approx(expected, abs=1e-9)
 
     def test_doubling_distance_adds_six_db_to_fspl(self):
@@ -191,18 +191,18 @@ def oracle_path_loss_db(params, cell, hub):
     link table was vectorised."""
     s = math.hypot(cell[0] - hub[0], cell[1] - hub[1])
     d = math.hypot(hub[2], s)
-    fspl = 10.0 * math.log10((4.0 * math.pi * params.carrier_hz * d / params.light_speed)
+    fspl = 10.0 * math.log10((4.0 * math.pi * params.carrier_hz * d / LIGHT_SPEED)
                              ** params.pl_exponent)
     theta_deg = math.degrees(math.atan2(hub[2], s))
     p = 1.0 / (1.0 + params.alpha * math.exp(-params.beta * (theta_deg - params.alpha)))
     return fspl + p * params.eta_los_db + (1.0 - p) * params.eta_nlos_db
 
 
-def oracle_sinr(radio, pl_row, j):
+def oracle_sinr(cfg, pl_row, j):
     """Linear SINR with the interference summed over the other hubs only."""
-    rx = [radio.tx_power_w * 10.0 ** (-pl / 10.0) for pl in pl_row]
+    rx = [cfg.tx_power_w * 10.0 ** (-pl / 10.0) for pl in pl_row]
     interference = math.fsum(p for k, p in enumerate(rx) if k != j)
-    return rx[j] / (interference + radio.noise_w)
+    return rx[j] / (interference + cfg.noise_w)
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +243,7 @@ class TestBuildLinkTable:
         pl = np.array([[oracle_path_loss_db(cfg.channel, c, h) for h in layout.hubs]
                        for c in layout.cells])
         np.testing.assert_allclose(table.pl_db, pl, rtol=1e-13, atol=0)
-        sinr = np.array([[oracle_sinr(cfg.radio, row, j) for j in range(len(row))]
+        sinr = np.array([[oracle_sinr(cfg, row, j) for j in range(len(row))]
                          for row in pl.tolist()])
         np.testing.assert_allclose(linear_sinr(table), sinr, rtol=1e-9, atol=0)
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import make_layout
-from skyhaul.channel import (build_link_table, coverage_radius, p_los,
-                             path_loss_db)
+from skyhaul.channel import (LIGHT_SPEED, build_link_table, coverage_radius,
+                             p_los, path_loss_db)
 from skyhaul.config import table1_urban
 from skyhaul.geometry import (HardCoreSpec, hardcore_thin, matern_type1,
                               poisson_points)
@@ -93,7 +93,7 @@ def blended_loss(h, s, theta):
     elevation angle `theta`."""
     params = CASE_STUDY.channel
     d = math.hypot(h, s)
-    fspl = 20.0 * math.log10(4.0 * math.pi * params.carrier_hz * d / params.light_speed)
+    fspl = 20.0 * math.log10(4.0 * math.pi * params.carrier_hz * d / LIGHT_SPEED)
     p = p_los(params, theta)
     return fspl + p * params.eta_los_db + (1.0 - p) * params.eta_nlos_db
 

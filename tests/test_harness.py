@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skyhaul import harness
 from skyhaul.association import check_feasible
 from skyhaul.cli import main
 from skyhaul.config import table1_urban
-from skyhaul.harness import (SeedSearchError, complexity_sweep, draw_cells,
-                             draw_rates, prepare_scenario, relax_to_qos_only,
-                             run_scenario, seed_search, sweep_constraints)
+from skyhaul.harness import (SeedSearchError, SolutionRejectedError,
+                             complexity_sweep, draw_cells, draw_rates,
+                             prepare_scenario, relax_to_qos_only, run_scenario,
+                             seed_search, sweep_constraints)
+from skyhaul.report import SolveReport
 
 CASE_STUDY = table1_urban()
 # the dense-field benchmark preset: ~240 cells x ~35 hubs on a 2 km side
@@ -31,8 +34,8 @@ class TestPrepare:
         prep = prepare_scenario(CASE_STUDY)
         assert len(prep.layout.cells) == 28
         assert prep.fleet.n_hubs == 4
-        assert prep.link_table.pl_db.shape == (28, 4)
-        assert np.isfinite(prep.link_table.sinr_db).all()
+        assert prep.instance.link_table.pl_db.shape == (28, 4)
+        assert np.isfinite(prep.instance.link_table.sinr_db).all()
 
     def test_rates_come_from_menu(self):
         rates = draw_rates(CASE_STUDY, 500)
@@ -67,7 +70,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("cfg", [CASE_STUDY, DENSE, EMPTY],
                              ids=["case-study", "dense-field", "zero-intensity"])
     def test_links_npy_holds_the_link_table_bit_for_bit(self, tmp_path, cfg):
-        table = run_scenario(cfg, tmp_path).prepared.link_table
+        table = run_scenario(cfg, tmp_path).prepared.instance.link_table
         stacked = np.stack([table.pl_db, table.sinr_db, table.spec_eff,
                             table.bandwidth_hz])
         saved = np.load(tmp_path / "links.npy")
@@ -87,6 +90,21 @@ class TestRunScenario:
             inst = result.prepared.instance
             assert check_feasible(inst, a).ok
             assert result.reports[method].feasible
+
+    def test_matrix_the_checker_refuses_is_never_written(self, tmp_path, monkeypatch):
+        # the report claims feasibility, but every cell takes every hub;
+        # solve_verified must judge the matrix, not trust the report
+        def every_link(inst):
+            a = np.ones((inst.n_cells, inst.n_hubs), dtype=np.int8)
+            return a, SolveReport(method="greedy", sum_rate_bps=0.0,
+                                  n_associated=inst.n_cells,
+                                  per_hub_links=(inst.n_cells,) * inst.n_hubs,
+                                  hubs_in_use=inst.n_hubs, feasible=True,
+                                  wall_time_s=0.0, op_count=0)
+        monkeypatch.setattr(harness, "solve_greedy", every_link)
+        with pytest.raises(SolutionRejectedError):
+            run_scenario(CASE_STUDY, tmp_path / "r")
+        assert not (tmp_path / "r").exists()
 
     def test_zero_intensity_run_succeeds_with_zero_rates(self, tmp_path):
         cfg = dataclasses.replace(CASE_STUDY, cell_intensity_per_m2=0.0)
@@ -190,12 +208,21 @@ class TestCli:
         "backhaul_cap_bps = nan", "sinr_min_db = nan", "noise_w = inf",
         "rate_menu_bps = 1.5, 60e6",
         "rate_menu_bps = 1e15\nhub_bandwidth_hz = 1e16",  # 28 cells: 2.8e16 bps
+        "hub_link_cap = 10000000000000000000000",  # past int64
+        # the elevation angle underflows to 0 across the area diagonal, and
+        # inside the coverage_radius bracket
+        "hub_altitude_m = 1e-320", "hub_altitude_m = 5e-324",
     ])
     def test_out_of_domain_value_exit_two(self, tmp_path, line):
         bad = tmp_path / "bad.ini"
         bad.write_text(f"[scenario]\n{line}\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r").exists()
+
+    def test_tiny_hub_altitude_still_runs(self, tmp_path):
+        ini = tmp_path / "low.ini"
+        ini.write_text("[scenario]\nhub_altitude_m = 1e-200\n")
+        assert main(["run", "--config", str(ini), "--out", str(tmp_path / "r")]) == 0
 
     def test_hub_separation_past_area_side_exit_three(self, tmp_path, capsys):
         # a 100 MHz carrier puts the coverage radius, the hub separation,
