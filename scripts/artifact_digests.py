@@ -13,7 +13,11 @@ The panel:
 * dense-field seeds 0-9 through run_scenario (1e-4 cells/m^2 on a 2 km
   side, 40 m cell separation, hubs at 100 m under an 80 dB ceiling, greedy);
 * random_instance(s, 2 + s % 9, 1 + s % 3, tight=s % 2 == 0) for s = 0-399,
-  solved by both solvers: matrix, sum rate and op or node count.
+  solved by both solvers: matrix, sum rate and op or node count;
+* random_instance(s, 3000, 40, tight=True) for s = 0-4, the greedy-scale
+  size, solved by the greedy: matrix, sum rate, op count, and the checker's
+  verdict (ok flag and violation messages) on the step-1, step-2 and final
+  matrices.
 
 Every exact search runs with a budget of NODE_BUDGET nodes. Each entry
 writes one line per artifact file, "<entry>/<file> <sha256 prefix>", and one
@@ -46,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 import skyhaul as sk
+from skyhaul.association import greedy_step1, greedy_step2
 from skyhaul.instances import random_instance
 
 NODE_BUDGET = 300_000
@@ -53,6 +58,7 @@ URBAN_SEEDS = (*range(300), 3655)
 SWEEP_SEEDS = (3655, 0, 1)
 DENSE_SEEDS = range(10)
 RANDOM_SEEDS = range(400)
+GREEDY_SCALE_SEEDS = range(5)
 DENSE_FIELD = {"cell_intensity_per_m2": 1e-4, "cell_min_sep_m": 40.0,
                "hub_altitude_m": 100.0, "pl_max_db": 80.0, "solver": "greedy",
                "area_side_m": 2000.0}
@@ -119,6 +125,22 @@ def _random_lines(seed: int):
         yield from _file_lines(entry, f"{method}.json", json.dumps(record).encode())
 
 
+def _greedy_scale_lines(seed: int):
+    inst = random_instance(seed, 3000, 40, tight=True)
+    candidates = greedy_step1(inst)
+    packed = greedy_step2(inst, candidates)
+    a, report = sk.solve_greedy(inst)
+    verdicts = {}
+    for stage, matrix in (("step1", candidates), ("step2", packed), ("final", a)):
+        verdict = sk.check_feasible(inst, matrix)
+        verdicts[stage] = {"ok": verdict.ok, "violated": verdict.violated}
+    record = {"matrix": _sha(np.ascontiguousarray(a, dtype=np.int8).tobytes()),
+              "shape": list(a.shape), "sum_rate_bps": report.sum_rate_bps,
+              "op_count": report.op_count, "verdicts": verdicts}
+    yield from _file_lines(f"greedy-scale/seed{seed:04d}", "greedy.json",
+                           json.dumps(record).encode())
+
+
 def panel_lines():
     urban = sk.table1_urban()
     dense = dataclasses.replace(urban, **DENSE_FIELD)
@@ -142,6 +164,8 @@ def panel_lines():
                             lambda out: sk.run_scenario(cfg, out), tmp)
     for seed in RANDOM_SEEDS:
         yield from _random_lines(seed)
+    for seed in GREEDY_SCALE_SEEDS:
+        yield from _greedy_scale_lines(seed)
 
 
 def _parse(lines) -> dict[str, str]:

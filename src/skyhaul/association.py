@@ -7,24 +7,31 @@ independently, highest demanded rate first, under its bandwidth and link caps.
 Step 3 trims associations from the lightest-loaded hubs until the global
 backhaul rate cap holds.
 
+Everything after step 1 works on the set links of a matrix, not on the
+dense n x m matrix: one nonzero pass over the raveled `a != 0` and a
+divmod by the hub count give their rows and columns in row-major order,
+and every total, count and verdict is computed from those links. Each step
+builds or edits its output matrix once, through flat indices.
+
 Demands are whole bps with a total below 2**53, so the solvers keep rate
 totals as exact Python ints. Every partial sum of such demands is also exact
 in a double, so the solvers' rate verdicts equal those of the feasibility
-checker, which sums with math.fsum. Bandwidths are arbitrary doubles, so the
-solvers keep each hub's bandwidth total as an exact int too: `exact_grid`
-puts the bandwidths on one power-of-two grid, `grid_limit` finds once per
-hub the largest int total whose quotient by the grid scale is at most the
-cap, and `admit` compares a hub's int total with that limit once per probe.
-Int/int true division is correctly rounded, as fsum is, so the verdict
-equals the checker's fsum verdict and no verdict depends on accumulation
-order.
+checker, whose rate total is math.fsum's correctly rounded one. Bandwidths
+are arbitrary doubles, so the solvers keep each hub's bandwidth total as an
+exact int too: `exact_grid` puts the bandwidths on one power-of-two grid,
+`grid_limit` finds once per hub the largest int total whose quotient by the
+grid scale is at most the cap, and a total fits iff it is at most that
+limit. Int/int true division is correctly rounded, as fsum is, so the
+verdict equals the checker's fsum verdict and no verdict depends on
+accumulation order.
 """
 
 import functools
 import math
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -118,8 +125,11 @@ def exact_grid(values: np.ndarray) -> tuple[list, int]:
     # mant * 2**53 is a whole number for every double; value = that * 2**lift
     lift = exp.astype(np.int64) - 53
     low = int(lift.min(initial=0))
-    whole = (mant * 2.0**53).astype(np.int64).tolist()
-    units = [w << s for w, s in zip(whole, (lift - low).tolist())]
+    shift = lift - low
+    # whole < 2**53, so shifts up to 10 stay in int64; Python ints take the rest
+    units = ((mant * 2.0**53).astype(np.int64) << np.minimum(shift, 10)).tolist()
+    for k in np.flatnonzero(shift > 10).tolist():
+        units[k] <<= int(shift[k]) - 10
     for k in np.flatnonzero(~finite).tolist():
         units[k] = float(values[k])
     return units, 1 << -low
@@ -175,10 +185,37 @@ def _check_dims(inst: ProblemInstance, a: AssociationMatrix):
                          f"({inst.n_cells}, {inst.n_hubs})")
 
 
+def _links(a: AssociationMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the set entries, in row-major order, as np.nonzero
+    gives them at several times the cost. The columns come in the smallest
+    unsigned dtype that holds them, so that sorts keyed on them run as radix
+    sorts."""
+    # flatnonzero's own work, without its Python wrapper
+    rows, cols = np.divmod((a != 0).ravel().nonzero()[0], a.shape[1])
+    return rows, cols.astype(np.min_scalar_type(a.shape[1]))
+
+
+def _checked_links(inst: ProblemInstance, a: AssociationMatrix):
+    _check_dims(inst, a)
+    if not ((a == 0) | (a == 1)).all():
+        raise ValueError("association matrix entries must be 0 or 1")
+    return _links(a)
+
+
+def _rate_total(inst: ProblemInstance, rows: np.ndarray) -> int:
+    """The exact sum of the rates of the cells in `rows`, repeats included;
+    as a float it equals math.fsum's correctly rounded sum."""
+    total = inst.rates[rows].sum()
+    # positive whole rates: a float total below 2**53 is exact
+    if total < 2**53:
+        return int(total)
+    return sum(map(inst.int_rates.__getitem__, rows.tolist()))
+
+
 def objective(inst: ProblemInstance, a: AssociationMatrix) -> float:
     """Sum of demanded rates over all set entries, in bps."""
     _check_dims(inst, a)
-    return math.fsum((inst.rates * a.sum(axis=1)).tolist())
+    return float(_rate_total(inst, _links(a)[0]))
 
 
 def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityReport:
@@ -187,39 +224,45 @@ def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityRe
     The SINR constraint only binds on set entries. Matrix entries must be 0/1;
     anything else is a caller bug and raises.
     """
-    _check_dims(inst, a)
-    if not ((a == 0) | (a == 1)).all():
-        raise ValueError("association matrix entries must be 0 or 1")
+    return _verdict(inst, *_checked_links(inst, a))
+
+
+def _verdict(inst: ProblemInstance, rows: np.ndarray, cols: np.ndarray) -> FeasibilityReport:
+    """`check_feasible` on the links (rows, cols) of a 0/1 matrix, in
+    row-major order."""
     violated: list[tuple[str, str]] = []
 
-    total_rate = objective(inst, a)
+    total_rate = float(_rate_total(inst, rows))
     if total_rate > inst.backhaul_cap_bps:
         violated.append((CONSTRAINT_BACKHAUL,
                          f"total rate {total_rate:.6g} bps > cap {inst.backhaul_cap_bps:.6g} bps"))
 
-    on = a == 1
-    bw = inst.link_table.bandwidth_hz
-    band_caps = inst.hub_bandwidth_caps.tolist()
-    for j in range(inst.n_hubs):
-        used = math.fsum(bw[on[:, j], j].tolist())
-        if used > band_caps[j]:
-            violated.append((CONSTRAINT_BANDWIDTH,
-                             f"hub {j}: {used:.6g} Hz > cap {band_caps[j]:.6g} Hz"))
+    # the link bandwidths grouped by hub, in hub index order; the order
+    # within a hub does not matter to fsum
+    link_counts = np.bincount(cols, minlength=inst.n_hubs)
+    ends = np.cumsum(link_counts).tolist()
+    by_hub = np.argsort(cols, kind="stable")
+    bw = inst.link_table.bandwidth_hz[rows[by_hub], cols[by_hub]].tolist()
+    start = 0
+    for j, (end, cap) in enumerate(zip(ends, inst.hub_bandwidth_caps.tolist())):
+        used = math.fsum(bw[start:end])
+        if used > cap:
+            violated.append((CONSTRAINT_BANDWIDTH, f"hub {j}: {used:.6g} Hz > cap {cap:.6g} Hz"))
+        start = end
 
-    bad = on & (inst.link_table.sinr_db < inst.sinr_min_db)
-    if bad.any():
-        first = tuple(np.argwhere(bad)[0].tolist())
-        violated.append((CONSTRAINT_SINR, f"{np.count_nonzero(bad)} links below "
+    bad = np.flatnonzero(inst.link_table.sinr_db[rows, cols] < inst.sinr_min_db)
+    if bad.size:
+        first = (int(rows[bad[0]]), int(cols[bad[0]]))
+        violated.append((CONSTRAINT_SINR, f"{bad.size} links below "
                          f"{inst.sinr_min_db} dB, first {first}"))
 
-    link_counts = a.sum(axis=0)
     for j in np.flatnonzero(link_counts > inst.hub_link_caps).tolist():
         violated.append((CONSTRAINT_LINKS,
                          f"hub {j}: {int(link_counts[j])} links > cap {int(inst.hub_link_caps[j])}"))
 
-    rows = np.flatnonzero(a.sum(axis=1) > 1)
-    if rows.size:
-        violated.append((CONSTRAINT_SINGLE, f"cells {rows.tolist()} associated more than once"))
+    multi = np.flatnonzero(np.bincount(rows, minlength=inst.n_cells) > 1)
+    if multi.size:
+        violated.append((CONSTRAINT_SINGLE, f"cells {multi.tolist()} associated more than once"))
 
     return FeasibilityReport(ok=not violated, violated=violated)
 
@@ -250,39 +293,54 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     index). Accept it if the hub still has a free link and the bandwidth cap
     holds; a candidate rejected on bandwidth is dropped and the scan
     continues. Stops when links run out or no candidates remain.
+
+    The candidates' links are queued by hub once, with their bandwidths as
+    ints on one `exact_grid`. Until a probe is refused, a queue's running
+    totals are its prefix sums, so a hub accepts its longest fitting prefix,
+    at most its link cap long, with one bisection over them; `admit` then
+    probes the rest of the queue one by one. A hub whose queue holds a
+    negative or non-finite bandwidth, or whose cap is NaN, probes it all one
+    by one.
     """
     _check_dims(inst, candidates)
     ops = ops or OpCounter()
-    rows, cols = np.nonzero(candidates)
+    m = inst.n_hubs
+    rows, cols = _links(candidates)
     bw = inst.link_table.bandwidth_hz[rows, cols]
     # grouped by hub, then by (-rate, bandwidth); lexsort is stable, so the
-    # ascending rows of np.nonzero break the remaining ties
+    # ascending rows of the row-major links break the remaining ties
     order = np.lexsort((bw, -inst.rates[rows], cols))
-    queues = rows[order].tolist()
     # one grid for every queue: a common scale keeps each hub's total exact
     units, scale = exact_grid(bw[order])
-    ends = np.cumsum(np.bincount(cols, minlength=inst.n_hubs)).tolist()
+    ends = np.cumsum(np.bincount(cols, minlength=m)).tolist()
+    odd_hubs = set(cols[~((bw >= 0) & (bw < math.inf))].tolist())
     link_caps = inst.hub_link_caps.tolist()
     limits = [grid_limit(c, scale) for c in inst.hub_bandwidth_caps.tolist()]
-    taken_rows: list[int] = []
-    taken_cols: list[int] = []
+    taken = np.zeros(len(order), dtype=bool)
     start = 0
     for j, end in enumerate(ends):
-        used, links, probes = 0, 0, 0
-        for i, u in zip(queues[start:end], units[start:end]):
-            if links >= link_caps[j]:
+        limit, link_cap = limits[j], link_caps[j]
+        used = links = 0
+        if j not in odd_hubs and limit == limit:
+            totals = list(accumulate(units[start:min(end, start + max(link_cap, 0))]))
+            links = bisect_right(totals, limit)
+            used = totals[links - 1] if links else 0
+            taken[start:start + links] = True
+        probes = links
+        for k in range(start + links, end):
+            if links >= link_cap:
                 break
             probes += 1
-            total = admit(used, u, limits[j])
+            total = admit(used, units[k], limit)
             if total is not None:
-                taken_rows.append(i)
-                taken_cols.append(j)
+                taken[k] = True
                 used, links = total, links + 1
         # probe k scans the end - start - k remaining candidates, plus 2
         ops.add(probes * (end - start + 2) - probes * (probes - 1) // 2)
         start = end
-    a = empty_association(inst.n_cells, inst.n_hubs)
-    a[taken_rows, taken_cols] = 1
+    a = empty_association(inst.n_cells, m)
+    kept = order[taken]
+    a.reshape(-1)[rows[kept] * m + cols[kept]] = 1
     return a
 
 
@@ -299,43 +357,55 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
     The hub that loses a cell stays the lightest: it had the fewest links,
     and now has one fewer, while no other hub changed. So it keeps losing
     cells until the cap holds or it is empty, and the hubs are visited once
-    each in ascending (links, index) order. On a hub, with its cells sorted
-    by (rate, index), the cells whose removal lands the total are those with
-    rate >= total - cap, so the victim is found by bisection.
+    each in ascending (links, index) order. On a hub with rates r sorted by
+    (rate, index), a cell lands the total when its rate is at least
+    total - floor(cap). Its smallest cells go until its largest lands: the
+    first t go, t the least count whose prefix sum reaches
+    total - floor(cap) - r[-1], one bisection over the prefix sums. If
+    that leaves cells on the hub, a second bisection finds the smallest
+    remaining cell that lands the total, and it goes too.
     """
     _check_dims(inst, assoc)
     ops = ops or OpCounter()
-    a = assoc.copy()
     m = inst.n_hubs
     rates = inst.int_rates
     cap = inst.backhaul_cap_bps
-    rows, cols = np.nonzero(a)
-    total = sum(rates[i] for i in rows.tolist())
+    rows, cols = _links(assoc)
+    total = _rate_total(inst, rows)
     links = np.bincount(cols, minlength=m)
+    if not total > cap:
+        return assoc.copy(), int(np.count_nonzero(links))
     # rate r lands the int total iff total - r <= cap iff r >= total - floor(cap)
     floor_cap = math.floor(cap) if math.isfinite(cap) else cap
     # grouped by hub, then by rate; stable, so ascending rows break ties
     by_hub = np.lexsort((inst.rates[rows], cols))
-    starts = np.concatenate(([0], np.cumsum(links)))
+    starts = np.concatenate(([0], np.cumsum(links))).tolist()
+    dropped: list[int] = []
 
     for j in np.argsort(links, kind="stable").tolist():
-        if total <= cap:
+        if not total > cap:
             break
-        cells = rows[by_hub[starts[j]:starts[j + 1]]].tolist()
-        hub_rates = [rates[i] for i in cells]
-        size = len(cells)
-        while total > cap and cells:
-            pos = bisect_left(hub_rates, total - floor_cap)
-            if pos == len(cells):
-                pos = 0
-            a[cells.pop(pos), j] = 0
-            total -= hub_rates.pop(pos)
+        start, size = starts[j], starts[j + 1] - starts[j]
+        if not size:
+            continue  # an empty hub has nothing to trim
+        hub_rates = [rates[i] for i in rows[by_hub[start:start + size]].tolist()]
+        prefix = list(accumulate(hub_rates, initial=0))
+        trims = min(bisect_left(prefix, total - floor_cap - hub_rates[-1]), size)
+        total -= prefix[trims]
+        dropped.extend(range(start, start + trims))
+        if trims < size:  # a cell lands the total; the cap then holds
+            land = bisect_left(hub_rates, total - floor_cap, trims)
+            total -= hub_rates[land]
+            dropped.append(start + land)
+            trims += 1
+        links[j] -= trims
         # trim q scans the m hubs, then twice the size - q cells left, plus 1
-        t = size - len(cells)
-        ops.add(t * (m + 2 * size + 2 - t))
+        ops.add(trims * (m + 2 * size + 2 - trims))
 
-    hubs_in_use = int(np.count_nonzero(a.any(axis=0)))
-    return a, hubs_in_use
+    a = assoc.copy()
+    gone = by_hub[dropped]
+    a.reshape(-1)[rows[gone] * m + cols[gone]] = 0
+    return a, int(np.count_nonzero(links))
 
 
 def solve_greedy(inst: ProblemInstance) -> tuple[AssociationMatrix, SolveReport]:
@@ -358,14 +428,16 @@ def solve_report(inst: ProblemInstance, a: AssociationMatrix, method: str,
                  wall_time_s: float, op_count: int,
                  node_count: int | None = None) -> SolveReport:
     """Report on a solver's association; every figure but the timing and the
-    work counters is derived from the matrix."""
+    work counters is derived from the matrix's links."""
+    rows, cols = _checked_links(inst, a)
+    per_hub_links = np.bincount(cols, minlength=inst.n_hubs)
     return SolveReport(
         method=method,
-        sum_rate_bps=objective(inst, a),
-        n_associated=int((a.sum(axis=1) > 0).sum()),
-        per_hub_links=tuple(int(k) for k in a.sum(axis=0)),
-        hubs_in_use=int((a.sum(axis=0) > 0).sum()),
-        feasible=check_feasible(inst, a).ok,
+        sum_rate_bps=float(_rate_total(inst, rows)),
+        n_associated=int(np.count_nonzero(np.bincount(rows))),
+        per_hub_links=tuple(per_hub_links.tolist()),
+        hubs_in_use=int(np.count_nonzero(per_hub_links)),
+        feasible=_verdict(inst, rows, cols).ok,
         wall_time_s=wall_time_s,
         op_count=op_count,
         node_count=node_count,

@@ -23,6 +23,10 @@ class ConfigError(ValueError):
     """Bad scenario file or field value."""
 
 
+# the largest Poisson mean numpy's Generator.poisson accepts; a scenario's
+# expected parent count, intensity * area_side_m**2, must not pass it
+MAX_PARENT_COUNT = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+
 SOLVER_CHOICES = ("greedy", "exact", "both")
 CONSTRAINT_CHOICES = ("all", "qos-only")
 
@@ -81,6 +85,12 @@ class ScenarioConfig:
             raise ConfigError("area_side_m must be positive")
         if self.cell_intensity_per_m2 < 0:
             raise ConfigError("cell_intensity_per_m2 must be nonnegative")
+        # side * side is inf, never OverflowError, where the square overflows
+        parents = self.cell_intensity_per_m2 * (self.area_side_m * self.area_side_m)
+        if not parents <= MAX_PARENT_COUNT:
+            raise ConfigError(f"expected parent count cell_intensity_per_m2 * "
+                              f"area_side_m**2 = {parents:.3g} is not at most "
+                              f"{MAX_PARENT_COUNT:.4g}")
         if not 0 < self.cell_min_sep_m < self.area_side_m:
             raise ConfigError("cell_min_sep_m must lie strictly between 0 and area_side_m")
         if not self.rate_menu_bps:

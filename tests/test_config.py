@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
-from skyhaul.config import (ConfigError, ScenarioConfig, load_config,
-                            table1_urban)
+from skyhaul.config import (MAX_PARENT_COUNT, ConfigError, ScenarioConfig,
+                            load_config, table1_urban)
 
 
 class TestDefaults:
@@ -40,6 +42,19 @@ class TestDefaults:
     def test_validation_delegates_channel_checks(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(alpha=-1.0)
+
+    def test_parent_count_limit_is_numpys(self):
+        # on a 2**32 m side, side**2 = 2**64 scales the intensity exactly
+        side = 2.0**32
+        at_limit = MAX_PARENT_COUNT / side**2
+        ScenarioConfig(area_side_m=side, cell_intensity_per_m2=at_limit)
+        with pytest.raises(ConfigError, match="parent count"):
+            ScenarioConfig(area_side_m=side,
+                           cell_intensity_per_m2=math.nextafter(at_limit, math.inf))
+        rng = np.random.default_rng(0)
+        rng.poisson(MAX_PARENT_COUNT, size=0)
+        with pytest.raises(ValueError):
+            rng.poisson(math.nextafter(MAX_PARENT_COUNT, math.inf), size=0)
 
 
 class TestLoadConfig:

@@ -12,10 +12,15 @@ import numpy as np
 import pytest
 
 from _builders import make_instance
-from skyhaul.association import (greedy_step1, greedy_step2, greedy_step3,
-                                 solve_greedy)
+from skyhaul.association import (exact_grid, greedy_step1, greedy_step2,
+                                 greedy_step3, grid_limit, solve_greedy)
 from skyhaul.harness import relax_to_qos_only
 from skyhaul.instances import RATE_MENU_BPS, random_instance
+
+
+def bandwidth_key(b):
+    """Numbers ascending, then NaN, as numpy sorts them."""
+    return (1, 0.0) if math.isnan(b) else (0, float(b))
 
 
 def reference_greedy(inst):
@@ -39,7 +44,7 @@ def reference_greedy(inst):
         link_cap = int(inst.hub_link_caps[j])
         band_cap = float(inst.hub_bandwidth_caps[j])
         queue = sorted(np.flatnonzero(candidates[:, j]),
-                       key=lambda i: (-float(rates[i]), float(bw[i, j]), i))
+                       key=lambda i: (-float(rates[i]), bandwidth_key(bw[i, j]), i))
         accepted_bw: list[float] = []
         for k, i in enumerate(queue):
             if len(accepted_bw) >= link_cap:
@@ -122,3 +127,49 @@ def test_matches_reference_on_small_instances():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_matches_reference_at_3000_by_40(seed):
     assert_matches_reference(random_instance(seed, 3000, 40, tight=True))
+
+
+def nonfinite_instance(seed: int, band_cap: float):
+    """A tie-heavy instance with some bandwidths set to inf or NaN, so the
+    hubs whose queues hold them probe one by one while the others jump over
+    their fitting prefix."""
+    base = tie_heavy_instance(seed)
+    rng = np.random.default_rng(seed)
+    bw = base.link_table.bandwidth_hz.copy()
+    odd = rng.random(bw.shape) < 0.15
+    bw[odd] = rng.choice([math.inf, math.nan], size=int(odd.sum()))
+    return make_instance(base.link_table.sinr_db, bw, base.rates,
+                         backhaul_cap_bps=base.backhaul_cap_bps,
+                         hub_bandwidth_cap_hz=band_cap,
+                         hub_link_cap=int(base.hub_link_caps[0]))
+
+
+@pytest.mark.parametrize("band_cap", [0.0, 2.0, 1e9, math.inf, math.nan])
+def test_matches_reference_with_nonfinite_bandwidths(band_cap):
+    for seed in range(100):
+        assert_matches_reference(nonfinite_instance(seed, band_cap))
+
+
+def test_queue_total_landing_on_grid_limit():
+    # 1 + 2**-53 lies halfway between the cap 1.0 and the next double up,
+    # and rounds to the cap (the even one): the first two totals land on
+    # the limit exactly, the third passes it, the zero fourth fits again
+    bw = [1.0, 2.0**-53, 2.0**-60, 0.0]
+    units, scale = exact_grid(np.array(bw))
+    assert units[0] + units[1] == grid_limit(1.0, scale)
+    inst = make_instance([[10.0]] * 4, [[b] for b in bw], [4.0, 3.0, 2.0, 1.0],
+                         hub_bandwidth_cap_hz=1.0)
+    assert_matches_reference(inst)
+    packed = greedy_step2(inst, greedy_step1(inst))
+    assert packed[:, 0].tolist() == [1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("link_cap", [-1, 0, 1, 2, 3])
+def test_prefix_cut_by_link_cap_before_bandwidth_cap(link_cap):
+    # the first three fit the 3 Hz cap, the fourth would not
+    inst = make_instance([[10.0]] * 5, [[1.0]] * 5, [5.0, 4.0, 3.0, 2.0, 1.0],
+                         hub_bandwidth_cap_hz=3.0, hub_link_cap=link_cap)
+    assert_matches_reference(inst)
+    packed = greedy_step2(inst, greedy_step1(inst))
+    kept = max(link_cap, 0)
+    assert packed[:, 0].tolist() == [1] * kept + [0] * (5 - kept)

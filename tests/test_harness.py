@@ -212,6 +212,9 @@ class TestCli:
         # the elevation angle underflows to 0 across the area diagonal, and
         # inside the coverage_radius bracket
         "hub_altitude_m = 1e-320", "hub_altitude_m = 5e-324",
+        # the expected parent count overflows, or passes numpy's Poisson limit
+        "area_side_m = 1e200\ncell_intensity_per_m2 = 0",
+        "cell_intensity_per_m2 = 1e305",
     ])
     def test_out_of_domain_value_exit_two(self, tmp_path, line):
         bad = tmp_path / "bad.ini"
