@@ -22,7 +22,7 @@ The panel:
 Every exact search runs with a budget of NODE_BUDGET nodes. Each entry
 writes one line per artifact file, "<entry>/<file> <sha256 prefix>", and one
 line per CSV column or summary.json leaf key, "<entry>/<file>#<key> <digest>";
-timing files are left out, since wall time is not deterministic. A run
+timing.json is left out, since wall time is not deterministic. A run
 that ends in a documented failure writes "<entry> FAILED <exception class>"
 in their place; a random instance writes one such line per failed solver,
 "<entry>/<solver>.json FAILED <exception class>".
@@ -95,7 +95,7 @@ def _file_lines(entry: str, name: str, data: bytes):
 
 def _dir_lines(entry: str, out: Path):
     for path in sorted(out.iterdir()):
-        if not path.name.startswith("timing_"):
+        if path.name != "timing.json":
             yield from _file_lines(entry, path.name, path.read_bytes())
 
 

@@ -24,6 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
 LIGHT_SPEED = 2.998e8  # m/s
 # coverage_radius doubles its bracket from max(h, 1) at most this many times
 BRACKET_DOUBLINGS = 60
+# and judges the midpoints of the next 6 bisection levels in one call
+_SUBTREE_SIZE = 2 ** 6 - 1
 
 
 class CoverageError(RuntimeError):
@@ -99,7 +101,11 @@ def path_loss_db(params: ChannelParams, s, h):
     d = np.hypot(h, s)
     if np.any(d == 0.0):
         raise ValueError("cell and hub are co-located")
-    fspl = 10.0 * np.log10((4.0 * math.pi * params.carrier_hz * d / LIGHT_SPEED) ** params.pl_exponent)
+    # np.power, not **: numpy's scalar ** goes through the C library's pow,
+    # which can differ in the last ulp from the array loop, and a point must
+    # get the same loss alone as inside an array
+    fspl = 10.0 * np.log10(np.power(4.0 * math.pi * params.carrier_hz * d / LIGHT_SPEED,
+                                    params.pl_exponent))
     p = p_los(params, np.arctan2(h, s))
     return fspl + p * params.eta_los_db + (1.0 - p) * params.eta_nlos_db
 
@@ -134,13 +140,15 @@ def coverage_radius(params: ChannelParams, h: float, pl_max_db: float) -> float:
     """Horizontal distance at which the path loss reaches `pl_max_db`.
 
     Solved by bisection on s at fixed altitude h. The root is unique since
-    path_loss_db is strictly increasing in s.
+    path_loss_db is strictly increasing in s. The bisection's midpoints are
+    judged a subtree at a time: the next six levels of midpoints below the
+    current bracket go through one path_loss_db call, and the walk
+    then takes the same steps, on the same doubles, as a one-point-at-a-time
+    bisection. A loss that overflows to inf is past any ceiling, and at
+    s = 0 one that underflows to -inf is below it.
     """
-
-    def pl(s: float) -> float:
-        return path_loss_db(params, s, h)
-
-    pl0 = pl(0.0)
+    with np.errstate(divide="ignore"):
+        pl0 = path_loss_db(params, 0.0, h)
     if pl0 > pl_max_db:
         raise CoverageError(
             f"path loss at zero ground offset ({pl0:.2f} dB) already exceeds {pl_max_db:.2f} dB"
@@ -148,25 +156,34 @@ def coverage_radius(params: ChannelParams, h: float, pl_max_db: float) -> float:
     if pl0 == pl_max_db:
         return 0.0
 
-    hi = max(h, 1.0)
-    for _ in range(BRACKET_DOUBLINGS):
-        if pl(hi) >= pl_max_db:
-            break
-        hi *= 2.0
-    else:
-        raise CoverageError(f"path loss never reaches {pl_max_db:.2f} dB (unbounded bracket)")
+    with np.errstate(over="ignore"):
+        ladder = max(h, 1.0) * 2.0 ** np.arange(BRACKET_DOUBLINGS)
+        reached = np.flatnonzero(path_loss_db(params, ladder, h) >= pl_max_db)
+        if len(reached) == 0:
+            raise CoverageError(f"path loss never reaches {pl_max_db:.2f} dB (unbounded bracket)")
+        hi = float(ladder[reached[0]])
 
-    # Bisect the bracket down to micrometers: stopping once the loss is
-    # within a tolerance of the ceiling can leave the answer a meter or so
-    # off the root. The loss is continuous and monotone, so at the midpoint
-    # it is within a micrometer's worth of slope of the ceiling.
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-6:
-            break
-        mid = 0.5 * (lo + hi)
-        if pl(mid) < pl_max_db:
-            lo = mid
-        else:
-            hi = mid
+        # Bisect the bracket down to micrometers: stopping once the loss is
+        # within a tolerance of the ceiling can leave the answer a meter or
+        # so off the root. The loss is continuous and monotone, so at the
+        # midpoint it is within a micrometer's worth of slope of the ceiling.
+        lo, steps, i = 0.0, 0, _SUBTREE_SIZE
+        while steps < 200 and hi - lo > 1e-6:
+            if i >= _SUBTREE_SIZE:
+                # the next subtree below [lo, hi], in heap order: the
+                # children of node i are 2i + 1 (below its midpoint) and
+                # 2i + 2 (above it)
+                bounds, mids = [(lo, hi)], []
+                for a, b in bounds:
+                    mid = 0.5 * (a + b)
+                    mids.append(mid)
+                    if len(bounds) < _SUBTREE_SIZE:
+                        bounds += [(a, mid), (mid, b)]
+                below = (path_loss_db(params, np.array(mids), h) < pl_max_db).tolist()
+                i = 0
+            if below[i]:
+                lo, i = mids[i], 2 * i + 2
+            else:
+                hi, i = mids[i], 2 * i + 1
+            steps += 1
     return 0.5 * (lo + hi)

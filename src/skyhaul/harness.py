@@ -5,20 +5,22 @@ fleet, evaluate the channel, then solve the association with the selected
 solvers. Every run re-checks the solver outputs with the independent
 feasibility checker before anything is written.
 
-Artifacts per run directory: layout.csv, links.npy, assoc_<method>.csv,
-report_<method>.csv, timing_<method>.txt and summary.json. links.npy is the
-link table as one (4, n_cells, n_hubs) float64 array, axis 0 in LinkTable
-field order (pl_db, sinr_db, spec_eff, bandwidth_hz). Every file but the
-timing ones is byte-stable for a fixed (config, seed); wall-clock numbers
-are quarantined in the timing files so rerunning never perturbs the rest.
+Artifacts per run directory: layout.npy, links.npy, assoc_<method>.csv,
+report_<method>.csv, summary.json and timing.json. layout.npy is the layout
+as one (n_cells + n_hubs, 4) float64 array, the cells and then the hubs,
+columns (x_m, y_m, h_m, rate_bps); cells have h_m 0 and hubs rate_bps 0.
+links.npy is the link table as one (4, n_cells, n_hubs) float64 array, axis
+0 in LinkTable field order (pl_db, sinr_db, spec_eff, bandwidth_hz). Every
+file but timing.json is byte-stable for a fixed (config, seed); wall-clock
+numbers are quarantined there so rerunning never perturbs the rest.
 """
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -258,26 +260,25 @@ def complexity_sweep(seed: int, sizes=(10, 25, 50, 100, 200), *,
 
 
 def _write_csv(path: Path, header: list[str], rows):
-    """Header, then the rows as they stream in. Values must be Python
-    scalars: csv writes floats through repr, so they round-trip, and None as
-    an empty field."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+    """Header, then the rows, in one write. Values must be Python scalars:
+    csv writes floats through repr, so they round-trip, and None as an empty
+    field."""
+    text = io.StringIO()
+    w = csv.writer(text, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    path.write_text(text.getvalue(), newline="")
 
 
-def write_layout_csv(path: Path, layout: Layout, cfg: ScenarioConfig):
-    """Cells, then hubs; every hub carries the config's bandwidth and link
-    caps."""
-    cells = (["cell", i, x, y, 0.0, rate, None, None]
-             for i, ((x, y), rate) in enumerate(zip(layout.cells.tolist(),
-                                                    layout.rates.tolist())))
-    hubs = (["hub", j, x, y, h, None, cfg.hub_bandwidth_hz, cfg.hub_link_cap]
-            for j, (x, y, h) in enumerate(layout.hubs.tolist()))
-    _write_csv(path, ["kind", "id", "x_m", "y_m", "h_m", "rate_bps",
-                      "bandwidth_cap_hz", "link_cap"], chain(cells, hubs))
+def _layout_array(layout: Layout) -> np.ndarray:
+    """The cells, then the hubs, as rows (x_m, y_m, h_m, rate_bps): cells
+    sit at h_m 0 and hubs carry rate_bps 0."""
+    n = len(layout.cells)
+    rows = np.zeros((n + len(layout.hubs), 4))
+    rows[:n, :2] = layout.cells
+    rows[:n, 3] = layout.rates
+    rows[n:, :3] = layout.hubs
+    return rows
 
 
 def write_assoc_csv(path: Path, a: AssociationMatrix):
@@ -291,7 +292,7 @@ REPORT_FIELDS = ["method", "sum_rate_bps", "n_associated", "per_hub_links",
 
 def write_report_csv(path: Path, report: SolveReport):
     """One-row CSV of the report, minus wall time (kept out so reruns stay
-    byte-identical; see write_timing)."""
+    byte-identical; it goes to timing.json)."""
     _write_csv(path, REPORT_FIELDS, [[
         report.method,
         report.sum_rate_bps,
@@ -304,11 +305,6 @@ def write_report_csv(path: Path, report: SolveReport):
         report.rng_algorithm,
         report.seed,
     ]])
-
-
-def write_timing(path: Path, report: SolveReport):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"wall_time_s={report.wall_time_s!r}\n")
 
 
 def _write_sweep_csv(path: Path, rows: list[dict]):
@@ -338,14 +334,13 @@ def write_summary(path: Path, cfg: ScenarioConfig, derived: dict):
         "derived": derived,
         "rng_algorithm": RNG_ALGORITHM,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_run_artifacts(out_dir: Path, result: RunResult):
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_layout_csv(out_dir / "layout.csv", result.prepared.layout,
-                     result.prepared.cfg)
+    np.save(out_dir / "layout.npy", _layout_array(result.prepared.layout),
+            allow_pickle=False)
     table = result.prepared.instance.link_table
     np.save(out_dir / "links.npy", np.stack([table.pl_db, table.sinr_db,
                                              table.spec_eff, table.bandwidth_hz]),
@@ -353,7 +348,8 @@ def write_run_artifacts(out_dir: Path, result: RunResult):
     for method, a in result.matrices.items():
         write_assoc_csv(out_dir / f"assoc_{method}.csv", a)
         write_report_csv(out_dir / f"report_{method}.csv", result.reports[method])
-        write_timing(out_dir / f"timing_{method}.txt", result.reports[method])
     derived = _derived_block(result.prepared)
     derived["constraints"] = result.constraints
     write_summary(out_dir / "summary.json", result.prepared.cfg, derived)
+    wall = {m: r.wall_time_s for m, r in result.reports.items()}
+    (out_dir / "timing.json").write_text(json.dumps({"wall_time_s": wall}) + "\n")

@@ -149,8 +149,10 @@ def test_criterion_8_determinism(tmp_path):
     second = tmp_path / "second"
     run_scenario(cfg, first)
     run_scenario(cfg, second)
-    csvs = sorted(p.name for p in first.glob("*.csv"))
-    assert csvs  # the run must actually emit CSVs
-    for name in csvs:
+    # every artifact but the wall-clock sidecar
+    names = sorted(p.name for p in first.iterdir() if p.name != "timing.json")
+    assert names == sorted(p.name for p in second.iterdir() if p.name != "timing.json")
+    assert {"layout.npy", "links.npy", "summary.json"} <= set(names)
+    assert any(name.endswith(".csv") for name in names)  # the run must actually emit CSVs
+    for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
-    assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import make_layout
-from skyhaul.channel import (LIGHT_SPEED, ChannelParams, CoverageError,
-                             build_link_table, coverage_radius, p_los,
-                             path_loss_db)
+from skyhaul.channel import (BRACKET_DOUBLINGS, LIGHT_SPEED, ChannelParams,
+                             CoverageError, build_link_table, coverage_radius,
+                             p_los, path_loss_db)
 from skyhaul.config import ScenarioConfig, table1_urban
 from skyhaul.deployment import Layout
 from skyhaul.harness import prepare_scenario
@@ -269,6 +269,50 @@ def grid_scan_radius(params, h, pl_max_db):
     return float(s)
 
 
+def scalar_coverage_radius(params, h, pl_max_db):
+    """One path_loss_db call per bracket doubling and per bisection step:
+    the oracle for the vectorised bracket and the subtree-at-a-time
+    bisection."""
+
+    def pl(s):
+        return path_loss_db(params, s, h)
+
+    pl0 = pl(0.0)
+    if pl0 > pl_max_db:
+        raise CoverageError(
+            f"path loss at zero ground offset ({pl0:.2f} dB) already exceeds {pl_max_db:.2f} dB"
+        )
+    if pl0 == pl_max_db:
+        return 0.0
+
+    hi = max(h, 1.0)
+    for _ in range(BRACKET_DOUBLINGS):
+        if pl(hi) >= pl_max_db:
+            break
+        hi *= 2.0
+    else:
+        raise CoverageError(f"path loss never reaches {pl_max_db:.2f} dB (unbounded bracket)")
+
+    lo = 0.0
+    for _ in range(200):
+        if hi - lo <= 1e-6:
+            break
+        mid = 0.5 * (lo + hi)
+        if pl(mid) < pl_max_db:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def outcome(radius, *args):
+    """The radius, or the type and message of the CoverageError raised."""
+    try:
+        return radius(*args)
+    except CoverageError as exc:
+        return type(exc), str(exc)
+
+
 class TestCoverageRadius:
     def test_monotone_loss_over_bracket(self):
         vals = path_loss_db(URBAN, np.linspace(0.0, 10_000.0, 200), 300.0)
@@ -294,3 +338,26 @@ class TestCoverageRadius:
     def test_ceiling_just_above_overhead_loss_is_near_zero(self):
         pl0 = path_loss_db(URBAN, 0.0, 300.0)
         assert coverage_radius(URBAN, 300.0, pl0 + 0.05) < 50.0
+
+    @given(channel_params(), st.floats(1e-3, 1e5), st.floats(-20.0, 800.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_bisection(self, params, h, offset):
+        # the ceiling sits below the loss overhead (raise), in the bracket,
+        # or past its last doubling (raise), as the offset goes up
+        ceiling = float(path_loss_db(params, 0.0, h)) + offset
+        with np.errstate(over="ignore"):
+            expected = outcome(scalar_coverage_radius, params, h, ceiling)
+        assert outcome(coverage_radius, params, h, ceiling) == expected
+
+    def test_ceiling_equal_to_overhead_loss_is_zero(self):
+        pl0 = float(path_loss_db(URBAN, 0.0, 300.0))
+        assert coverage_radius(URBAN, 300.0, pl0) == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_altitude_is_silent_and_matches_scalar_bisection(self):
+        # the free-space term underflows to 0 at s = 0, so the overhead loss
+        # is -inf: below the ceiling, which is the right verdict
+        params = CASE_STUDY.channel
+        with np.errstate(divide="ignore"):
+            expected = scalar_coverage_radius(params, 1e-200, 110.0)
+        assert coverage_radius(params, 1e-200, 110.0) == expected

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,10 +24,6 @@ DENSE = dataclasses.replace(CASE_STUDY, cell_intensity_per_m2=1e-4,
                             pl_max_db=80.0, area_side_m=2000.0, seed=1,
                             solver="greedy")
 EMPTY = dataclasses.replace(CASE_STUDY, cell_intensity_per_m2=0.0)
-
-
-def read_lines(path):
-    return path.read_text().splitlines()
 
 
 class TestPrepare:
@@ -62,10 +59,9 @@ class TestRunScenario:
     def test_emits_all_artifacts(self, tmp_path):
         run_scenario(CASE_STUDY, tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
-        assert names == {"layout.csv", "links.npy", "assoc_greedy.csv",
+        assert names == {"layout.npy", "links.npy", "assoc_greedy.csv",
                          "assoc_exact.csv", "report_greedy.csv",
-                         "report_exact.csv", "timing_greedy.txt",
-                         "timing_exact.txt", "summary.json"}
+                         "report_exact.csv", "summary.json", "timing.json"}
 
     @pytest.mark.parametrize("cfg", [CASE_STUDY, DENSE, EMPTY],
                              ids=["case-study", "dense-field", "zero-intensity"])
@@ -113,8 +109,7 @@ class TestRunScenario:
             assert report.sum_rate_bps == 0.0
             assert report.n_associated == 0
             assert report.feasible
-        assert read_lines(tmp_path / "layout.csv") == [
-            "kind,id,x_m,y_m,h_m,rate_bps,bandwidth_cap_hz,link_cap"]
+        assert np.load(tmp_path / "layout.npy").shape == (0, 4)
 
     def test_solver_selection_greedy_only(self, tmp_path):
         result = run_scenario(CASE_STUDY, tmp_path, solver="greedy")
@@ -122,16 +117,29 @@ class TestRunScenario:
         assert (tmp_path / "assoc_greedy.csv").exists()
         assert not (tmp_path / "assoc_exact.csv").exists()
 
-    def test_layout_csv_round_trips_positions(self, tmp_path):
-        result = run_scenario(CASE_STUDY, tmp_path, solver="greedy")
-        rows = read_lines(tmp_path / "layout.csv")[1:]
-        cells = [r.split(",") for r in rows if r.startswith("cell")]
-        layout = result.prepared.layout
-        assert len(cells) == len(layout.cells)
-        for row, (x, y), rate in zip(cells, layout.cells, layout.rates):
-            assert float(row[2]) == x
-            assert float(row[3]) == y
-            assert float(row[5]) == rate
+    @pytest.mark.parametrize("cfg", [CASE_STUDY, DENSE, EMPTY],
+                             ids=["case-study", "dense-field", "zero-intensity"])
+    def test_layout_npy_holds_the_layout_exactly(self, tmp_path, cfg):
+        layout = run_scenario(cfg, tmp_path, solver="greedy").prepared.layout
+        saved = np.load(tmp_path / "layout.npy")
+        n, m = len(layout.cells), len(layout.hubs)
+        assert saved.dtype == np.float64
+        assert saved.shape == (n + m, 4)
+        cells, hubs = saved[:n], saved[n:]
+        assert np.array_equal(cells[:, :2], layout.cells)
+        assert (cells[:, 2] == 0.0).all()
+        assert np.array_equal(cells[:, 3], layout.rates)
+        assert np.array_equal(hubs[:, :3], layout.hubs)
+        assert (hubs[:, 3] == 0.0).all()
+
+    @pytest.mark.parametrize("solver", ["greedy", "exact", "both"])
+    def test_timing_json_has_one_wall_time_per_method(self, tmp_path, solver):
+        result = run_scenario(CASE_STUDY, tmp_path, solver=solver)
+        wall = json.loads((tmp_path / "timing.json").read_text())["wall_time_s"]
+        assert set(wall) == set(result.reports)
+        for method, seconds in wall.items():
+            assert isinstance(seconds, float) and math.isfinite(seconds)
+            assert seconds == result.reports[method].wall_time_s
 
     def test_summary_echoes_config_and_rng(self, tmp_path):
         run_scenario(CASE_STUDY, tmp_path, solver="greedy")
@@ -222,6 +230,7 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_hub_altitude_still_runs(self, tmp_path):
         ini = tmp_path / "low.ini"
         ini.write_text("[scenario]\nhub_altitude_m = 1e-200\n")
