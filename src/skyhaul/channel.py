@@ -115,7 +115,9 @@ def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
     every (cell, hub) pair of a layout.
 
     Each cell demands the same rate from every hub, so the bandwidth demand
-    of pair (i, j) is rate_i / spec_eff_ij.
+    of pair (i, j) is rate_i / spec_eff_ij. Where the SINR is so small that
+    log2(1 + sinr) rounds to 0, that demand is inf: the link carries
+    nothing, and `admit` refuses it under any finite bandwidth cap.
     """
     cells, hubs = layout.cells, layout.hubs
     if len(cells) == 0 or len(hubs) == 0:
@@ -132,7 +134,8 @@ def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
 
     sinr_db = 10.0 * np.log10(sinr)
     spec_eff = np.log2(1.0 + sinr)
-    bandwidth = layout.rates[:, None] / spec_eff
+    with np.errstate(divide="ignore"):
+        bandwidth = layout.rates[:, None] / spec_eff
     return LinkTable(pl_db=pl, sinr_db=sinr_db, spec_eff=spec_eff, bandwidth_hz=bandwidth)
 
 

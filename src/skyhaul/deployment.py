@@ -61,13 +61,8 @@ class FleetPlan:
     hub_min_sep_m: float
 
 
-def cells_per_hub(bandwidth_cap_hz: float, rates: list[float], avg_spec_eff: float) -> int:
-    """How many cells one hub's bandwidth can carry on average.
-
-    floor(B / b_avg) with b_avg = mean(rates) / avg_spec_eff. Returns 0 when
-    even one average cell does not fit; callers must treat that as
-    infeasible.
-    """
+def mean_bandwidth_hz(rates: list[float], avg_spec_eff: float) -> float:
+    """The average cell's bandwidth need, b_avg = mean(rates) / avg_spec_eff."""
     if not rates:
         raise ValueError("rates must be nonempty")
     if not (avg_spec_eff > 0):
@@ -75,8 +70,16 @@ def cells_per_hub(bandwidth_cap_hz: float, rates: list[float], avg_spec_eff: flo
     mean_rate = math.fsum(rates) / len(rates)
     if mean_rate == 0:
         raise DegenerateDemandError("all demanded rates are zero")
-    b_avg = mean_rate / avg_spec_eff
-    return math.floor(bandwidth_cap_hz / b_avg)
+    return mean_rate / avg_spec_eff
+
+
+def cells_per_hub(bandwidth_cap_hz: float, rates: list[float], avg_spec_eff: float) -> int:
+    """How many cells one hub's bandwidth can carry on average.
+
+    floor(B / b_avg) with b_avg from mean_bandwidth_hz. Returns 0 when even
+    one average cell does not fit; callers must treat that as infeasible.
+    """
+    return math.floor(bandwidth_cap_hz / mean_bandwidth_hz(rates, avg_spec_eff))
 
 
 def fleet_size(n_cells: int, link_cap: int, cells_per_hub: int) -> int:

@@ -2,10 +2,11 @@
 force enumerator kept to cross-check the search on small instances.
 
 The search is one function: `solve_exact` keeps its state in local lists
-and ints and recurses through one nested `dfs(depth, running)`. It assigns
-cells one at a time, highest demanded rate first; each cell goes to an
-admissible hub with spare capacity or stays unassigned. A subtree is cut
-when an optimistic completion bound cannot beat the incumbent.
+and ints and runs one nested `dfs(depth, running)`. It assigns cells one at
+a time, highest demanded rate first; each cell goes to an admissible hub
+with spare capacity (a recursive call) or stays unassigned (the next pass
+of `dfs`'s loop). A subtree is cut when an optimistic completion bound
+cannot beat the incumbent.
 
 The bound adds to the running objective the most the remaining cells can
 add: nothing without backhaul headroom, all their demand if it fits, else
@@ -14,6 +15,10 @@ demands are whole bps. Rate totals are exact Python ints (below 2**53, so
 they equal the checker's fsum); each hub's bandwidth total is an exact int
 on one `exact_grid`, judged by `admit` against its `grid_limit` as in
 greedy step 2.
+
+The enumerator has no capacity logic of its own beyond vectorised sums:
+its rate sums are exact, and a candidate whose float bandwidth sum lands
+near a hub's cap is re-judged by `check_feasible`.
 """
 
 import math
@@ -26,7 +31,7 @@ from .association import (AssociationMatrix, ProblemInstance, empty_association,
                           admit, exact_grid, grid_limit, objective,
                           solve_report)
 # perfbench/spans.py traces feasibility checks under this module's name
-from .association import check_feasible  # noqa: F401
+from .association import check_feasible
 from .report import SolveReport
 
 
@@ -61,6 +66,8 @@ def solve_exact(inst: ProblemInstance,
     Leaves, bound cuts and rejected probes count one node each. On reaching
     node_budget nodes, even as the search finishes, it raises
     NodeBudgetExceeded carrying the best association found so far.
+    Recursion nests once per assigned cell, not once per cell, so the depth
+    is the number of cells assigned on the current path plus one.
     """
     t0 = time.perf_counter()
     n, m = inst.n_cells, inst.n_hubs
@@ -93,42 +100,44 @@ def solve_exact(inst: ProblemInstance,
 
     def dfs(depth: int, running: int):
         nonlocal nodes, best, best_value
-        if nodes >= node_budget:
-            raise NodeBudgetExceeded(nodes, incumbent(), best_value)
-        if depth == n:
-            nodes += 1
-            if running > best_value:
-                best, best_value = assign[:], running
-            return
-        headroom = cap - running
-        if headroom <= 0:
-            gain = 0
-        elif headroom >= suffix_sum[depth]:
-            gain = suffix_sum[depth]
-        else:
-            gain = math.floor(headroom / suffix_gcd[depth]) * suffix_gcd[depth]
-        if running + gain <= best_value:
-            nodes += 1
-            return
-
-        i = order[depth]
-        rate = rates[i]
-        for j in admissible[i]:
-            total = None
-            if links[j] < link_caps[j] and running + rate <= cap:
-                total = admit(used[j], units[i * m + j], limits[j])
-            if total is None:
+        # one pass per cell; "leave cell i unassigned" continues the loop
+        # rather than recursing, so the nesting grows only per assigned cell
+        while True:
+            if nodes >= node_budget:
+                raise NodeBudgetExceeded(nodes, incumbent(), best_value)
+            if depth == n:
                 nodes += 1
-                continue
-            saved, used[j] = used[j], total
-            assign[i] = j
-            links[j] += 1
-            dfs(depth + 1, running + rate)
-            used[j] = saved
-            links[j] -= 1
-            assign[i] = -1
-        # the "leave cell i unassigned" branch
-        dfs(depth + 1, running)
+                if running > best_value:
+                    best, best_value = assign[:], running
+                return
+            headroom = cap - running
+            if headroom <= 0:
+                gain = 0
+            elif headroom >= suffix_sum[depth]:
+                gain = suffix_sum[depth]
+            else:
+                gain = math.floor(headroom / suffix_gcd[depth]) * suffix_gcd[depth]
+            if running + gain <= best_value:
+                nodes += 1
+                return
+
+            i = order[depth]
+            rate = rates[i]
+            for j in admissible[i]:
+                total = None
+                if links[j] < link_caps[j] and running + rate <= cap:
+                    total = admit(used[j], units[i * m + j], limits[j])
+                if total is None:
+                    nodes += 1
+                    continue
+                saved, used[j] = used[j], total
+                assign[i] = j
+                links[j] += 1
+                dfs(depth + 1, running + rate)
+                used[j] = saved
+                links[j] -= 1
+                assign[i] = -1
+            depth += 1
 
     dfs(0, 0)
     if nodes >= node_budget:
@@ -137,37 +146,17 @@ def solve_exact(inst: ProblemInstance,
     return a, solve_report(inst, a, "exact", time.perf_counter() - t0, nodes, nodes)
 
 
-def _fsum_feasible(inst: ProblemInstance, choice: np.ndarray) -> bool:
-    """Order-independent capacity verdict for one choice vector.
-
-    Mirrors the checker's fsum accumulation exactly; used to re-judge
-    candidates whose vectorised sums land on a cap boundary, where pairwise
-    summation can disagree with fsum by an ulp.
-    """
-    m = inst.n_hubs
-    taken_rates: list[float] = []
-    per_hub_bw: list[list[float]] = [[] for _ in range(m)]
-    for i, d in enumerate(choice):
-        if d < m:
-            taken_rates.append(float(inst.rates[i]))
-            per_hub_bw[d].append(float(inst.link_table.bandwidth_hz[i, d]))
-    if math.fsum(taken_rates) > inst.backhaul_cap_bps:
-        return False
-    for j in range(m):
-        if len(per_hub_bw[j]) > int(inst.hub_link_caps[j]):
-            return False
-        if math.fsum(per_hub_bw[j]) > float(inst.hub_bandwidth_caps[j]):
-            return False
-    return True
-
-
 def enumerate_all(inst: ProblemInstance) -> tuple[AssociationMatrix, float]:
     """Brute force over every single-association candidate, for cross-checks.
 
     Each cell independently picks one of the hubs or stays out, giving
-    (n_hubs + 1) ** n_cells candidates; refuses to run past the guard. The
-    best feasible candidate is returned with its objective recomputed by the
-    shared objective routine so comparisons against the search are exact.
+    (n_hubs + 1) ** n_cells candidates; refuses to run past the guard.
+    Candidates are judged in vectorised chunks. Their rate sums are exact
+    (whole bps below 2**53), so the backhaul test is the checker's verdict;
+    a hub's bandwidth sum may round, so a candidate whose sum lands within
+    a relative 1e-9 of a hub's cap gets check_feasible's verdict instead.
+    The best feasible candidate is returned with its objective recomputed by
+    the shared objective routine so comparisons against the search are exact.
     """
     n, m = inst.n_cells, inst.n_hubs
     total = (m + 1) ** n
@@ -182,50 +171,43 @@ def enumerate_all(inst: ProblemInstance) -> tuple[AssociationMatrix, float]:
     ok_ext = np.concatenate([sinr_ok, np.ones((n, 1), dtype=bool)], axis=1)
     rate_ext = np.concatenate([np.repeat(rates[:, None], m, axis=1),
                                np.zeros((n, 1))], axis=1)
+    cell_idx = np.arange(n)
+
+    def matrix(choice: np.ndarray) -> AssociationMatrix:
+        a = empty_association(n, m)
+        picked = choice < m
+        a[cell_idx[picked], choice[picked]] = 1
+        return a
 
     best_val = -1.0
-    best_code = 0
+    best_choice = np.zeros(n, dtype=np.int64)
     radix = m + 1
     for start in range(0, total, _ENUM_CHUNK):
         codes = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
         digits = np.empty((codes.size, n), dtype=np.int64)
-        rem = codes.copy()
         for i in range(n):
-            digits[:, i] = rem % radix
-            rem //= radix
-        cell_idx = np.arange(n)
+            digits[:, i] = codes % radix
+            codes //= radix
         admitted = ok_ext[cell_idx, digits].all(axis=1)
         vals = rate_ext[cell_idx, digits].sum(axis=1)
         feasible = admitted & (vals <= inst.backhaul_cap_bps)
-        borderline = np.zeros(codes.size, dtype=bool)
-        cap_b = float(inst.backhaul_cap_bps)
-        if math.isfinite(cap_b):
-            borderline |= np.abs(vals - cap_b) <= 1e-9 * max(1.0, abs(cap_b))
+        band = np.zeros(codes.size, dtype=bool)
         for j in range(m):
             picked = digits == j
-            counts = picked.sum(axis=1)
-            feasible &= counts <= int(inst.hub_link_caps[j])
+            feasible &= picked.sum(axis=1) <= int(inst.hub_link_caps[j])
             used = np.where(picked, bw_ext[cell_idx, digits], 0.0).sum(axis=1)
             cap_j = float(inst.hub_bandwidth_caps[j])
             feasible &= used <= cap_j
             if math.isfinite(cap_j):
-                borderline |= np.abs(used - cap_j) <= 1e-9 * max(1.0, abs(cap_j))
-        # pairwise sums are only trusted away from the cap boundaries; codes
-        # inside the guard band get the checker-exact verdict instead
-        for k in np.flatnonzero(borderline & admitted):
-            feasible[k] = _fsum_feasible(inst, digits[k])
+                band |= np.abs(used - cap_j) <= 1e-9 * max(1.0, abs(cap_j))
+        for k in np.flatnonzero(band & admitted):
+            feasible[k] = check_feasible(inst, matrix(digits[k])).ok
         if feasible.any():
             sub = np.flatnonzero(feasible)
             k = sub[np.argmax(vals[sub])]
             if vals[k] > best_val:
                 best_val = float(vals[k])
-                best_code = int(codes[k])
+                best_choice = digits[k]
 
-    a = empty_association(n, m)
-    rem = best_code
-    for i in range(n):
-        d = rem % radix
-        rem //= radix
-        if d < m:
-            a[i, d] = 1
+    a = matrix(best_choice)
     return a, objective(inst, a)

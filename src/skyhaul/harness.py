@@ -30,7 +30,7 @@ from .association import (AssociationMatrix, ProblemInstance, check_feasible,
 from .channel import LinkTable, build_link_table, coverage_radius
 from .config import ConfigError, ScenarioConfig
 from .deployment import (FleetPlan, Layout, cells_per_hub, fleet_size,
-                         place_fleet)
+                         mean_bandwidth_hz, place_fleet)
 from .exact import DEFAULT_NODE_BUDGET, solve_exact
 from .geometry import HardCoreSpec, matern_type1
 from .instances import random_instance
@@ -105,16 +105,15 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
         return _empty_prepared(cfg)
     rates = draw_rates(cfg, len(cells))
 
-    per_hub_cap = cells_per_hub(cfg.hub_bandwidth_hz, rates.tolist(),
-                                cfg.avg_spec_eff)
+    rate_list = rates.tolist()
+    per_hub_cap = cells_per_hub(cfg.hub_bandwidth_hz, rate_list, cfg.avg_spec_eff)
     n_hubs = fleet_size(len(cells), cfg.hub_link_cap, per_hub_cap)
     hub_min_sep = coverage_radius(cfg.channel, cfg.hub_altitude_m, cfg.pl_max_db)
     hubs = place_fleet(cfg, n_hubs, hub_min_sep, sub_seed(cfg.seed, _STREAM_HUBS))
     layout = Layout(cells=cells, rates=rates, hubs=hubs)
 
-    mean_rate = math.fsum(rates.tolist()) / len(cells)
     fleet = FleetPlan(n_hubs=n_hubs, per_hub_cell_cap=per_hub_cap,
-                      avg_bandwidth_hz=mean_rate / cfg.avg_spec_eff,
+                      avg_bandwidth_hz=mean_bandwidth_hz(rate_list, cfg.avg_spec_eff),
                       hub_min_sep_m=hub_min_sep)
 
     table = build_link_table(cfg, layout)

@@ -70,6 +70,16 @@ class TestEnumerateAll:
         a, val = enumerate_all(inst)
         assert val == 0.0 and a.sum() == 0
 
+    def test_bandwidth_cap_boundary_judged_by_checker(self):
+        # the vectorised sum 1.0 + 1e-16 + 1e-16 rounds to the 1.0 Hz cap,
+        # but the exact (fsum) total is past it: only two of the three fit
+        inst = make_instance([[10.0]] * 3, [[1.0], [1e-16], [1e-16]],
+                             [90e6, 30e6, 30e6], hub_bandwidth_cap_hz=1.0,
+                             hub_link_cap=3)
+        a, val = enumerate_all(inst)
+        assert val == 120e6 and check_feasible(inst, a).ok
+        assert solve_exact(inst)[1].sum_rate_bps == 120e6
+
     def test_guard_refuses_oversized_instances(self):
         inst = random_instance(1, n_cells=30, n_hubs=4)
         with pytest.raises(SizeGuardError):

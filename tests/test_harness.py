@@ -236,6 +236,26 @@ class TestCli:
         ini.write_text("[scenario]\nhub_altitude_m = 1e-200\n")
         assert main(["run", "--config", str(ini), "--out", str(tmp_path / "r")]) == 0
 
+    # log2(1 + sinr) rounds to 0 on some links: their bandwidth demand is
+    # inf, a link that carries nothing
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("line", [
+        "noise_w = 1e6", "tx_power_w = 1e-300", "eta_nlos_db = 1000"])
+    def test_links_with_zero_spectral_efficiency_still_run(self, tmp_path, line):
+        ini = tmp_path / "weak.ini"
+        ini.write_text(f"[scenario]\n{line}\n")
+        assert main(["run", "--config", str(ini), "--out", str(tmp_path / "r")]) == 0
+        bw = np.load(tmp_path / "r" / "links.npy")[3]
+        assert np.isinf(bw).any()
+
+    def test_more_cells_than_the_recursion_limit_run(self, tmp_path):
+        # 1,140 cells and 163 hubs; the exact search once recursed per cell
+        ini = tmp_path / "deep.ini"
+        ini.write_text("[scenario]\ncell_intensity_per_m2 = 1.5e-4\n"
+                       "cell_min_sep_m = 40\nhub_altitude_m = 100\n"
+                       "pl_max_db = 80\narea_side_m = 4000\n")
+        assert main(["run", "--config", str(ini), "--out", str(tmp_path / "r")]) == 0
+
     def test_hub_separation_past_area_side_exit_three(self, tmp_path, capsys):
         # a 100 MHz carrier puts the coverage radius, the hub separation,
         # at about 8.06 km, past the 4 km side
