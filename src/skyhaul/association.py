@@ -8,22 +8,33 @@ Step 3 trims associations from the lightest-loaded hubs until the global
 backhaul rate cap holds.
 
 Everything after step 1 works on the set links of a matrix, not on the
-dense n x m matrix: one nonzero pass over the raveled `a != 0` and a
-divmod by the hub count give their rows and columns in row-major order,
-and every total, count and verdict is computed from those links. Each step
-builds or edits its output matrix once, through flat indices.
+dense n x m matrix: one nonzero pass over the raveled `a != 0` gives their
+flat row-major indices, and a divmod by the hub count their rows and
+columns, in the order `np.nonzero` gives. Every gather from a table is a 1-D
+`take` at those flat indices (at a row's index for per-cell data), every
+total, count and verdict is computed from the links, and each step builds
+or edits its output matrix once, through flat indices.
+
+Step 2 queues each hub's links by (-rate, bandwidth, cell index). When no
+two bandwidths are equal and none is NaN, the bandwidth order has no ties,
+so one unstable sort on the bandwidths and two stable ones, on -rate and
+then on the hub, give exactly the three-key lexsort's order at a fraction
+of its cost; with a tie or a NaN the lexsort runs.
 
 Demands are whole bps with a total below 2**53, so the solvers keep rate
 totals as exact Python ints. Every partial sum of such demands is also exact
 in a double, so the solvers' rate verdicts equal those of the feasibility
-checker, whose rate total is math.fsum's correctly rounded one. Bandwidths
-are arbitrary doubles, so the solvers keep each hub's bandwidth total as an
-exact int too: `exact_grid` puts the bandwidths on one power-of-two grid,
-`grid_limit` finds once per hub the largest int total whose quotient by the
-grid scale is at most the cap, and a total fits iff it is at most that
-limit. Int/int true division is correctly rounded, as fsum is, so the
-verdict equals the checker's fsum verdict and no verdict depends on
-accumulation order.
+checker, whose rate total is math.fsum's correctly rounded one. Step 3 sums
+rates as doubles for that reason: a hub carries each cell at most once, so
+its rate total and every prefix sum of its sorted rates are partial sums of
+distinct demands, exact whatever the summation order; the running total
+across hubs stays a Python int. Bandwidths are arbitrary doubles, so the
+solvers keep each hub's bandwidth total as an exact int too: `exact_grid`
+puts the bandwidths on one power-of-two grid, `grid_limit` finds once per
+distinct cap the largest int total whose quotient by the grid scale is at
+most the cap, and a total fits iff it is at most that limit. Int/int true
+division is correctly rounded, as fsum is, so the verdict equals the
+checker's fsum verdict and no verdict depends on accumulation order.
 """
 
 import functools
@@ -185,19 +196,23 @@ def _check_dims(inst: ProblemInstance, a: AssociationMatrix):
                          f"({inst.n_cells}, {inst.n_hubs})")
 
 
-def _links(a: AssociationMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the set entries, in row-major order, as np.nonzero
-    gives them at several times the cost. The columns come in the smallest
-    unsigned dtype that holds them, so that sorts keyed on them run as radix
-    sorts."""
+def _links(a: AssociationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and flat row-major indices of the set entries, in
+    row-major order, as np.nonzero and np.flatnonzero give them at several
+    times the cost. The columns come in the smallest unsigned dtype that
+    holds them, so that sorts keyed on them run as radix sorts."""
     # flatnonzero's own work, without its Python wrapper
-    rows, cols = np.divmod((a != 0).ravel().nonzero()[0], a.shape[1])
-    return rows, cols.astype(np.min_scalar_type(a.shape[1]))
+    flat = (a != 0).ravel().nonzero()[0]
+    rows, cols = np.divmod(flat, a.shape[1])
+    return rows, cols.astype(np.min_scalar_type(a.shape[1])), flat
 
 
 def _checked_links(inst: ProblemInstance, a: AssociationMatrix):
     _check_dims(inst, a)
-    if not ((a == 0) | (a == 1)).all():
+    # a 1-byte matrix holds 0/1 iff its largest byte, read unsigned, is <= 1
+    binary = (a.view(np.uint8).max(initial=0) <= 1 if a.itemsize == 1
+              else ((a == 0) | (a == 1)).all())
+    if not binary:
         raise ValueError("association matrix entries must be 0 or 1")
     return _links(a)
 
@@ -205,7 +220,7 @@ def _checked_links(inst: ProblemInstance, a: AssociationMatrix):
 def _rate_total(inst: ProblemInstance, rows: np.ndarray) -> int:
     """The exact sum of the rates of the cells in `rows`, repeats included;
     as a float it equals math.fsum's correctly rounded sum."""
-    total = inst.rates[rows].sum()
+    total = inst.rates.take(rows).sum()
     # positive whole rates: a float total below 2**53 is exact
     if total < 2**53:
         return int(total)
@@ -227,9 +242,10 @@ def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityRe
     return _verdict(inst, *_checked_links(inst, a))
 
 
-def _verdict(inst: ProblemInstance, rows: np.ndarray, cols: np.ndarray) -> FeasibilityReport:
-    """`check_feasible` on the links (rows, cols) of a 0/1 matrix, in
-    row-major order."""
+def _verdict(inst: ProblemInstance, rows: np.ndarray, cols: np.ndarray,
+             flat: np.ndarray) -> FeasibilityReport:
+    """`check_feasible` on the links of a 0/1 matrix, as `_links` gives
+    them."""
     violated: list[tuple[str, str]] = []
 
     total_rate = float(_rate_total(inst, rows))
@@ -241,8 +257,7 @@ def _verdict(inst: ProblemInstance, rows: np.ndarray, cols: np.ndarray) -> Feasi
     # within a hub does not matter to fsum
     link_counts = np.bincount(cols, minlength=inst.n_hubs)
     ends = np.cumsum(link_counts).tolist()
-    by_hub = np.argsort(cols, kind="stable")
-    bw = inst.link_table.bandwidth_hz[rows[by_hub], cols[by_hub]].tolist()
+    bw = inst.link_table.bandwidth_hz.take(flat[np.argsort(cols, kind="stable")]).tolist()
     start = 0
     for j, (end, cap) in enumerate(zip(ends, inst.hub_bandwidth_caps.tolist())):
         used = math.fsum(bw[start:end])
@@ -250,18 +265,21 @@ def _verdict(inst: ProblemInstance, rows: np.ndarray, cols: np.ndarray) -> Feasi
             violated.append((CONSTRAINT_BANDWIDTH, f"hub {j}: {used:.6g} Hz > cap {cap:.6g} Hz"))
         start = end
 
-    bad = np.flatnonzero(inst.link_table.sinr_db[rows, cols] < inst.sinr_min_db)
+    bad = np.flatnonzero(inst.link_table.sinr_db.take(flat) < inst.sinr_min_db)
     if bad.size:
         first = (int(rows[bad[0]]), int(cols[bad[0]]))
         violated.append((CONSTRAINT_SINR, f"{bad.size} links below "
                          f"{inst.sinr_min_db} dB, first {first}"))
 
-    for j in np.flatnonzero(link_counts > inst.hub_link_caps).tolist():
-        violated.append((CONSTRAINT_LINKS,
-                         f"hub {j}: {int(link_counts[j])} links > cap {int(inst.hub_link_caps[j])}"))
+    over = link_counts > inst.hub_link_caps
+    if over.any():
+        for j in np.flatnonzero(over).tolist():
+            violated.append((CONSTRAINT_LINKS, f"hub {j}: {int(link_counts[j])} links "
+                             f"> cap {int(inst.hub_link_caps[j])}"))
 
-    multi = np.flatnonzero(np.bincount(rows, minlength=inst.n_cells) > 1)
-    if multi.size:
+    # rows ascend, so a cell with two links shows as two equal neighbours
+    if (rows[1:] == rows[:-1]).any():
+        multi = np.flatnonzero(np.bincount(rows, minlength=inst.n_cells) > 1)
         violated.append((CONSTRAINT_SINGLE, f"cells {multi.tolist()} associated more than once"))
 
     return FeasibilityReport(ok=not violated, violated=violated)
@@ -276,12 +294,29 @@ def greedy_step1(inst: ProblemInstance, ops: OpCounter | None = None) -> Associa
     a = empty_association(n, m)
     if n:
         sinr = inst.link_table.sinr_db
-        rows = np.arange(n)
         best = np.argmax(sinr, axis=1)  # first occurrence wins ties
-        ok = sinr[rows, best] >= inst.sinr_min_db
-        a[rows[ok], best[ok]] = 1
+        best += np.arange(0, n * m, m)  # (i, best[i]) as a flat index
+        a.reshape(-1)[best[sinr.take(best) >= inst.sinr_min_db]] = 1
     ops.add(n * (max(m - 1, 0) + 1))
     return a
+
+
+def _queue_order(bw: np.ndarray, rates: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The permutation that sorts links by (hub, -rate, bandwidth), the
+    remaining ties kept in link order: np.lexsort((bw, -rates, cols)).
+
+    When the bandwidths are pairwise distinct and none is NaN, a plain sort
+    on them has no ties to break, so any sort gives the one bandwidth order;
+    stable sorts on -rate, then on the hub, keep it among equal keys, which
+    is the lexsort's order. Otherwise the lexsort runs.
+    """
+    order = bw.argsort()
+    ascending = bw[order]
+    # NaN compares false, as do equal neighbours
+    if not (ascending[1:] > ascending[:-1]).all():
+        return np.lexsort((bw, -rates, cols))
+    order = order[(-rates[order]).argsort(kind="stable")]
+    return order[cols[order].argsort(kind="stable")]
 
 
 def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
@@ -305,27 +340,30 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     _check_dims(inst, candidates)
     ops = ops or OpCounter()
     m = inst.n_hubs
-    rows, cols = _links(candidates)
-    bw = inst.link_table.bandwidth_hz[rows, cols]
-    # grouped by hub, then by (-rate, bandwidth); lexsort is stable, so the
-    # ascending rows of the row-major links break the remaining ties
-    order = np.lexsort((bw, -inst.rates[rows], cols))
+    rows, cols, flat = _links(candidates)
+    bw = inst.link_table.bandwidth_hz.take(flat)
+    order = _queue_order(bw, inst.rates.take(rows), cols)
     # one grid for every queue: a common scale keeps each hub's total exact
     units, scale = exact_grid(bw[order])
-    ends = np.cumsum(np.bincount(cols, minlength=m)).tolist()
+    counts = np.bincount(cols, minlength=m)
+    ends = np.cumsum(counts).tolist()
     odd_hubs = set(cols[~((bw >= 0) & (bw < math.inf))].tolist())
     link_caps = inst.hub_link_caps.tolist()
-    limits = [grid_limit(c, scale) for c in inst.hub_bandwidth_caps.tolist()]
-    taken = np.zeros(len(order), dtype=bool)
+    caps = inst.hub_bandwidth_caps.tolist()
+    # one grid_limit per distinct cap (a fleet's hubs usually share one); a
+    # NaN key is found by identity, as each list entry is its own float
+    limits = {c: grid_limit(c, scale) for c in dict.fromkeys(caps)}
+    prefix_ends: list[int] = []  # per hub, the end of its accepted prefix
+    probed: list[int] = []  # queue positions accepted one by one
     start = 0
     for j, end in enumerate(ends):
-        limit, link_cap = limits[j], link_caps[j]
+        limit, link_cap = limits[caps[j]], link_caps[j]
         used = links = 0
         if j not in odd_hubs and limit == limit:
             totals = list(accumulate(units[start:min(end, start + max(link_cap, 0))]))
             links = bisect_right(totals, limit)
             used = totals[links - 1] if links else 0
-            taken[start:start + links] = True
+        prefix_ends.append(start + links)
         probes = links
         for k in range(start + links, end):
             if links >= link_cap:
@@ -333,14 +371,17 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
             probes += 1
             total = admit(used, units[k], limit)
             if total is not None:
-                taken[k] = True
+                probed.append(k)
                 used, links = total, links + 1
         # probe k scans the end - start - k remaining candidates, plus 2
         ops.add(probes * (end - start + 2) - probes * (probes - 1) // 2)
         start = end
+    # queue position k lies on hub cols[order[k]]; it is taken when it falls
+    # in that hub's accepted prefix or was accepted by a probe
+    taken = np.arange(len(order)) < np.repeat(prefix_ends, counts)
+    taken[probed] = True
     a = empty_association(inst.n_cells, m)
-    kept = order[taken]
-    a.reshape(-1)[rows[kept] * m + cols[kept]] = 1
+    a.reshape(-1)[flat[order[taken]]] = 1
     return a
 
 
@@ -357,54 +398,61 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
     The hub that loses a cell stays the lightest: it had the fewest links,
     and now has one fewer, while no other hub changed. So it keeps losing
     cells until the cap holds or it is empty, and the hubs are visited once
-    each in ascending (links, index) order. On a hub with rates r sorted by
-    (rate, index), a cell lands the total when its rate is at least
-    total - floor(cap). Its smallest cells go until its largest lands: the
-    first t go, t the least count whose prefix sum reaches
-    total - floor(cap) - r[-1], one bisection over the prefix sums. If
-    that leaves cells on the hub, a second bisection finds the smallest
-    remaining cell that lands the total, and it goes too.
+    each in ascending (links, index) order. A rate r lands the total when
+    r >= total - floor(cap), and a hub's smallest cells go until its largest
+    lands, so a hub empties exactly when its whole rate is below
+    total - floor(cap), the total it finds on arrival: the emptied hubs are
+    the visit order's longest prefix whose running rate sum stays below
+    total - floor(cap) at the start, one bisection. The next hub is the last
+    one visited. With its rates r sorted by (rate, index), its first t cells
+    go, t the least count whose prefix sum reaches total - floor(cap) - r[-1],
+    then the smallest remaining cell that lands the total: two searchsorted
+    calls.
     """
     _check_dims(inst, assoc)
     ops = ops or OpCounter()
     m = inst.n_hubs
-    rates = inst.int_rates
     cap = inst.backhaul_cap_bps
-    rows, cols = _links(assoc)
+    rows, cols, flat = _links(assoc)
     total = _rate_total(inst, rows)
     links = np.bincount(cols, minlength=m)
     if not total > cap:
         return assoc.copy(), int(np.count_nonzero(links))
     # rate r lands the int total iff total - r <= cap iff r >= total - floor(cap)
     floor_cap = math.floor(cap) if math.isfinite(cap) else cap
-    # grouped by hub, then by rate; stable, so ascending rows break ties
-    by_hub = np.lexsort((inst.rates[rows], cols))
-    starts = np.concatenate(([0], np.cumsum(links))).tolist()
-    dropped: list[int] = []
-
-    for j in np.argsort(links, kind="stable").tolist():
-        if not total > cap:
-            break
-        start, size = starts[j], starts[j + 1] - starts[j]
-        if not size:
-            continue  # an empty hub has nothing to trim
-        hub_rates = [rates[i] for i in rows[by_hub[start:start + size]].tolist()]
-        prefix = list(accumulate(hub_rates, initial=0))
-        trims = min(bisect_left(prefix, total - floor_cap - hub_rates[-1]), size)
-        total -= prefix[trims]
-        dropped.extend(range(start, start + trims))
-        if trims < size:  # a cell lands the total; the cap then holds
-            land = bisect_left(hub_rates, total - floor_cap, trims)
-            total -= hub_rates[land]
-            dropped.append(start + land)
-            trims += 1
+    rates = inst.rates.take(rows)
+    visit = np.argsort(links, kind="stable")
+    sizes = links[visit].tolist()
+    # a hub carries a cell once, so its float rate total is exact
+    hub_totals = np.bincount(cols, weights=rates, minlength=m)[visit].tolist()
+    running = list(accumulate(map(int, hub_totals)))
+    emptied = bisect_left(running, total - floor_cap)
+    # each of a hub's size trims scans the m hubs and its cells
+    ops.add(sum(size * (m + size + 2) for size in sizes[:emptied]))
+    emptied_hub = np.zeros(m, dtype=bool)
+    emptied_hub[visit[:emptied]] = True
+    dropped = emptied_hub[cols]
+    links[emptied_hub] = 0
+    if emptied < m:
+        j, size = visit[emptied], sizes[emptied]
+        total -= running[emptied - 1] if emptied else 0
+        on_hub = np.flatnonzero(cols == j)
+        on_hub = on_hub[np.argsort(rates.take(on_hub), kind="stable")]
+        hub_rates = rates.take(on_hub)
+        # whole rates of distinct cells, so every prefix sum is exact
+        prefix = np.cumsum(hub_rates)
+        need = total - floor_cap - int(hub_rates[-1])
+        trims = int(np.searchsorted(prefix, need)) + 1 if need > 0 else 0
+        total -= int(prefix[trims - 1]) if trims else 0
+        land = trims + int(np.searchsorted(hub_rates[trims:], total - floor_cap))
+        dropped[on_hub[:trims]] = True
+        dropped[on_hub[land]] = True
+        trims += 1
         links[j] -= trims
         # trim q scans the m hubs, then twice the size - q cells left, plus 1
         ops.add(trims * (m + 2 * size + 2 - trims))
-
     a = assoc.copy()
-    gone = by_hub[dropped]
-    a.reshape(-1)[rows[gone] * m + cols[gone]] = 0
+    a.reshape(-1)[flat[dropped]] = 0
     return a, int(np.count_nonzero(links))
 
 
@@ -429,7 +477,7 @@ def solve_report(inst: ProblemInstance, a: AssociationMatrix, method: str,
                  node_count: int | None = None) -> SolveReport:
     """Report on a solver's association; every figure but the timing and the
     work counters is derived from the matrix's links."""
-    rows, cols = _checked_links(inst, a)
+    rows, cols, flat = _checked_links(inst, a)
     per_hub_links = np.bincount(cols, minlength=inst.n_hubs)
     return SolveReport(
         method=method,
@@ -437,7 +485,7 @@ def solve_report(inst: ProblemInstance, a: AssociationMatrix, method: str,
         n_associated=int(np.count_nonzero(np.bincount(rows))),
         per_hub_links=tuple(per_hub_links.tolist()),
         hubs_in_use=int(np.count_nonzero(per_hub_links)),
-        feasible=_verdict(inst, rows, cols).ok,
+        feasible=_verdict(inst, rows, cols, flat).ok,
         wall_time_s=wall_time_s,
         op_count=op_count,
         node_count=node_count,

@@ -170,8 +170,11 @@ def coverage_radius(params: ChannelParams, h: float, pl_max_db: float) -> float:
         # within a tolerance of the ceiling can leave the answer a meter or
         # so off the root. The loss is continuous and monotone, so at the
         # midpoint it is within a micrometer's worth of slope of the ceiling.
+        # Past about 8.6e9 m one ulp exceeds a micrometer; once lo and hi are
+        # adjacent doubles the midpoint is one of them, and further steps
+        # would leave both unchanged.
         lo, steps, i = 0.0, 0, _SUBTREE_SIZE
-        while steps < 200 and hi - lo > 1e-6:
+        while steps < 200 and hi - lo > 1e-6 and lo < 0.5 * (lo + hi) < hi:
             if i >= _SUBTREE_SIZE:
                 # the next subtree below [lo, hi], in heap order: the
                 # children of node i are 2i + 1 (below its midpoint) and

@@ -179,8 +179,9 @@ def enumerate_all(inst: ProblemInstance) -> tuple[AssociationMatrix, float]:
         a[cell_idx[picked], choice[picked]] = 1
         return a
 
+    # nothing feasible leaves every cell out, as solve_exact's first incumbent
     best_val = -1.0
-    best_choice = np.zeros(n, dtype=np.int64)
+    best_choice = np.full(n, m, dtype=np.int64)
     radix = m + 1
     for start in range(0, total, _ENUM_CHUNK):
         codes = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)

@@ -353,6 +353,22 @@ class TestCoverageRadius:
         pl0 = float(path_loss_db(URBAN, 0.0, 300.0))
         assert coverage_radius(URBAN, 300.0, pl0) == 0.0
 
+    def test_huge_radius_stops_once_bounds_are_adjacent(self, monkeypatch):
+        # one ulp of a 1.25e11 m radius exceeds the 1e-6 m stop, so the
+        # bisection ends when its midpoint is lo or hi: the overhead loss,
+        # the bracket ladder and nine subtrees of six levels each
+        params = CASE_STUDY.channel
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return path_loss_db(*args)
+        monkeypatch.setattr("skyhaul.channel.path_loss_db", counted)
+        r = coverage_radius(params, 300.0, 280.0)
+        assert len(calls) <= 12
+        assert r == 125132683854.75357
+        assert r == scalar_coverage_radius(params, 300.0, 280.0)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_altitude_is_silent_and_matches_scalar_bisection(self):
         # the free-space term underflows to 0 at s = 0, so the overhead loss

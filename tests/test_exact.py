@@ -80,6 +80,16 @@ class TestEnumerateAll:
         assert val == 120e6 and check_feasible(inst, a).ok
         assert solve_exact(inst)[1].sum_rate_bps == 120e6
 
+    def test_nothing_feasible_gives_the_empty_matrix(self):
+        # a negative backhaul cap refuses every candidate, the empty one too;
+        # both searches then fall back to leaving every cell out
+        inst = make_instance([[10.0]] * 2, [[1e6]] * 2, [30e6, 90e6],
+                             backhaul_cap_bps=-1.0)
+        a, val = enumerate_all(inst)
+        b, report = solve_exact(inst)
+        assert val == report.sum_rate_bps == 0.0
+        assert a.sum() == 0 and np.array_equal(a, b)
+
     def test_guard_refuses_oversized_instances(self):
         inst = random_instance(1, n_cells=30, n_hubs=4)
         with pytest.raises(SizeGuardError):
