@@ -15,12 +15,6 @@ columns, in the order `np.nonzero` gives. Every gather from a table is a 1-D
 total, count and verdict is computed from the links, and each step builds
 or edits its output matrix once, through flat indices.
 
-Step 2 queues each hub's links by (-rate, bandwidth, cell index). When no
-two bandwidths are equal and none is NaN, the bandwidth order has no ties,
-so one unstable sort on the bandwidths and two stable ones, on -rate and
-then on the hub, give exactly the three-key lexsort's order at a fraction
-of its cost; with a tie or a NaN the lexsort runs.
-
 Demands are whole bps with a total below 2**53, so the solvers keep rate
 totals as exact Python ints. Every partial sum of such demands is also exact
 in a double, so the solvers' rate verdicts equal those of the feasibility
@@ -209,10 +203,7 @@ def _links(a: AssociationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _checked_links(inst: ProblemInstance, a: AssociationMatrix):
     _check_dims(inst, a)
-    # a 1-byte matrix holds 0/1 iff its largest byte, read unsigned, is <= 1
-    binary = (a.view(np.uint8).max(initial=0) <= 1 if a.itemsize == 1
-              else ((a == 0) | (a == 1)).all())
-    if not binary:
+    if not ((a == 0) | (a == 1)).all():
         raise ValueError("association matrix entries must be 0 or 1")
     return _links(a)
 
@@ -271,11 +262,9 @@ def _verdict(inst: ProblemInstance, rows: np.ndarray, cols: np.ndarray,
         violated.append((CONSTRAINT_SINR, f"{bad.size} links below "
                          f"{inst.sinr_min_db} dB, first {first}"))
 
-    over = link_counts > inst.hub_link_caps
-    if over.any():
-        for j in np.flatnonzero(over).tolist():
-            violated.append((CONSTRAINT_LINKS, f"hub {j}: {int(link_counts[j])} links "
-                             f"> cap {int(inst.hub_link_caps[j])}"))
+    for j in np.flatnonzero(link_counts > inst.hub_link_caps).tolist():
+        violated.append((CONSTRAINT_LINKS,
+                         f"hub {j}: {int(link_counts[j])} links > cap {int(inst.hub_link_caps[j])}"))
 
     # rows ascend, so a cell with two links shows as two equal neighbours
     if (rows[1:] == rows[:-1]).any():
@@ -301,24 +290,6 @@ def greedy_step1(inst: ProblemInstance, ops: OpCounter | None = None) -> Associa
     return a
 
 
-def _queue_order(bw: np.ndarray, rates: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The permutation that sorts links by (hub, -rate, bandwidth), the
-    remaining ties kept in link order: np.lexsort((bw, -rates, cols)).
-
-    When the bandwidths are pairwise distinct and none is NaN, a plain sort
-    on them has no ties to break, so any sort gives the one bandwidth order;
-    stable sorts on -rate, then on the hub, keep it among equal keys, which
-    is the lexsort's order. Otherwise the lexsort runs.
-    """
-    order = bw.argsort()
-    ascending = bw[order]
-    # NaN compares false, as do equal neighbours
-    if not (ascending[1:] > ascending[:-1]).all():
-        return np.lexsort((bw, -rates, cols))
-    order = order[(-rates[order]).argsort(kind="stable")]
-    return order[cols[order].argsort(kind="stable")]
-
-
 def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
                  ops: OpCounter | None = None) -> AssociationMatrix:
     """Per-hub packing of the candidate requests.
@@ -342,7 +313,9 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     m = inst.n_hubs
     rows, cols, flat = _links(candidates)
     bw = inst.link_table.bandwidth_hz.take(flat)
-    order = _queue_order(bw, inst.rates.take(rows), cols)
+    # grouped by hub, then by (-rate, bandwidth); lexsort is stable, so the
+    # ascending rows of the row-major links break the remaining ties
+    order = np.lexsort((bw, -inst.rates.take(rows), cols))
     # one grid for every queue: a common scale keeps each hub's total exact
     units, scale = exact_grid(bw[order])
     counts = np.bincount(cols, minlength=m)

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import skyhaul.association as association
 from _builders import make_instance
-from skyhaul.association import (_links, _queue_order, check_feasible,
-                                 empty_association, admit, exact_grid,
-                                 greedy_step1, greedy_step2, greedy_step3,
-                                 grid_limit, objective, solve_greedy)
+from skyhaul.association import (_links, check_feasible, empty_association,
+                                 admit, exact_grid, greedy_step1, greedy_step2,
+                                 greedy_step3, grid_limit, objective,
+                                 solve_greedy)
 from skyhaul.instances import random_instance
-from test_greedy_oracle import tie_heavy_instance
 
 
 class TestProblemInstance:
@@ -100,8 +98,6 @@ class TestCheckFeasible:
         (np.int8, -1), (np.int8, 2), (np.uint8, 2), (np.int64, -1),
     ])
     def test_entry_outside_0_1_rejected_among_valid_ones(self, dtype, value):
-        # one-byte matrices are judged by their largest byte read unsigned,
-        # where an int8 -1 reads 255
         inst = make_instance([[10.0, 10.0]] * 3, [[1e6, 1e6]] * 3, [30e6] * 3)
         a = np.array([[1, 0], [0, value], [0, 1]], dtype=dtype)
         with pytest.raises(ValueError, match="0 or 1"):
@@ -265,57 +261,6 @@ class TestStep2:
             used = math.fsum(float(inst.link_table.bandwidth_hz[i, j])
                              for i in np.flatnonzero(a[:, j]))
             assert used <= float(inst.hub_bandwidth_caps[j])
-
-
-def queue_keys(inst, candidates):
-    """Bandwidth, rate and hub of each candidate link, in row-major order."""
-    rows, cols, flat = _links(candidates)
-    return inst.link_table.bandwidth_hz.take(flat), inst.rates.take(rows), cols
-
-
-def queue_order_and_lexsorts(monkeypatch, keys):
-    """`_queue_order` on the keys, and how many lexsorts it ran."""
-    lexsort, calls = np.lexsort, []
-
-    def counted(k):
-        calls.append(k)
-        return lexsort(k)
-    monkeypatch.setattr(association.np, "lexsort", counted)
-    order = _queue_order(*keys)
-    monkeypatch.undo()
-    return order, len(calls)
-
-
-class TestQueueOrder:
-    def test_matches_lexsort_on_tie_heavy_instances(self):
-        # every link a candidate: equal bandwidths abound, on one hub or on
-        # several, so most of these take the lexsort
-        for seed in range(200):
-            inst = tie_heavy_instance(seed)
-            ones = np.ones((inst.n_cells, inst.n_hubs), dtype=np.int8)
-            bw, rates, cols = keys = queue_keys(inst, ones)
-            assert _queue_order(*keys).tolist() == np.lexsort((bw, -rates, cols)).tolist()
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_lexsort_at_3000_by_40_without_it(self, monkeypatch, seed):
-        inst = random_instance(seed, 3000, 40, tight=True)
-        bw, rates, cols = keys = queue_keys(inst, greedy_step1(inst))
-        want = np.lexsort((bw, -rates, cols))
-        order, lexsorts = queue_order_and_lexsorts(monkeypatch, keys)
-        assert order.tolist() == want.tolist()
-        assert lexsorts == 0  # distinct bandwidths: the three plain sorts
-
-    @pytest.mark.parametrize("bw", [
-        [[1e6, 2e6], [2e6, 1e6], [3e6, 4e6]],  # equal bandwidths on different hubs
-        [[1e6, 2e6], [math.nan, 5e6], [3e6, 4e6]],  # distinct, but one is NaN
-    ], ids=["equal", "nan"])
-    def test_ties_and_nan_fall_back_to_lexsort(self, monkeypatch, bw):
-        inst = make_instance([[10.0, 10.0]] * 3, bw, [30e6, 60e6, 30e6])
-        keys = queue_keys(inst, np.ones((3, 2), dtype=np.int8))
-        want = np.lexsort((keys[0], -keys[1], keys[2]))
-        order, lexsorts = queue_order_and_lexsorts(monkeypatch, keys)
-        assert order.tolist() == want.tolist()
-        assert lexsorts == 1
 
 
 class TestStep3:
