@@ -29,12 +29,38 @@ distinct cap the largest int total whose quotient by the grid scale is at
 most the cap, and a total fits iff it is at most that limit. Int/int true
 division is correctly rounded, as fsum is, so the verdict equals the
 checker's fsum verdict and no verdict depends on accumulation order.
+
+Both exact bandwidth verdicts run on arrays wherever a range argument
+allows, and take the exact route above elsewhere:
+
+- Step 2 keeps the grid's units in int64 and finds every hub's accepted
+  prefix from one int64 cumsum over all queues, compared with the cap's
+  `grid_limit` clipped to int64. A hub qualifies when its queue's exact
+  total is certainly below 2**63 units (the range argument is in
+  `greedy_step2`). The others (a unit wider than int64, a negative or
+  non-finite bandwidth, a queue total that could reach 2**63) and every
+  probe after a refusal go through `admit` on exact Python ints.
+- The checker clears a hub without fsum when its float bandwidth total t,
+  plus a slack of 2(K + 1)u times the float sum M of the magnitudes of its
+  k bandwidths (u = 2**-53, K >= k the matrix's link count), is below its
+  cap. A float sum of k terms, in any order, is within
+  gamma_(k-1) = (k - 1)u / (1 - (k - 1)u) times the sum of their
+  magnitudes of the exact sum (Higham 2002, Accuracy and Stability of
+  Numerical Algorithms, 4.2); the factor 2 and the K + 1 cover M's own
+  error and the rounding of the slack's product. The test's
+  addition needs no margin: rounding is monotone and the cap is a double,
+  so t + slack < cap as computed holds exactly too, and so the exact sum,
+  and fsum's rounding of it, is below the cap. A clear hub also needs
+  M < 2**1023, which keeps every partial sum fsum forms inside the double
+  range. The other hubs, at, near or over their cap, under a NaN cap or
+  with a non-finite total, get math.fsum of their links, so every verdict
+  and printed total is fsum's.
 """
 
 import functools
 import math
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -125,19 +151,38 @@ def exact_grid(values: np.ndarray) -> tuple[list, int]:
     every finite value, subnormals included: units are Python ints, so sums
     of them never round. Non-finite values come back as floats; see `admit`.
     """
+    units, scale = _int64_grid(values)
+    return _exact_units(units, values, scale), scale
+
+
+def _int64_grid(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """`exact_grid` in int64: (units, scale), with units[k] exact wherever
+    abs(values[k]) * scale < 2**63."""
     finite = np.isfinite(values)
     mant, exp = np.frexp(np.where(finite, values, 0.0))
     # mant * 2**53 is a whole number for every double; value = that * 2**lift
-    lift = exp.astype(np.int64) - 53
+    lift = exp - 53
     low = int(lift.min(initial=0))
-    shift = lift - low
-    # whole < 2**53, so shifts up to 10 stay in int64; Python ints take the rest
-    units = ((mant * 2.0**53).astype(np.int64) << np.minimum(shift, 10)).tolist()
-    for k in np.flatnonzero(shift > 10).tolist():
-        units[k] <<= int(shift[k]) - 10
-    for k in np.flatnonzero(~finite).tolist():
-        units[k] = float(values[k])
+    # a whole of 53 bits shifted by up to 10 stays below 2**63; a unit that
+    # needs a wider shift is at least 2**63
+    units = (mant * 2.0**53).astype(np.int64) << np.minimum(lift - low, 10)
     return units, 1 << -low
+
+
+def _exact_units(units: np.ndarray, values: np.ndarray, scale: int) -> list:
+    """`exact_grid`'s units from `_int64_grid`'s: Python ints, with each
+    unit past int64 computed from its value, or the value itself if it is
+    not finite."""
+    exact = units.tolist()
+    # abs(value) < 2**63 / scale, a power of two: the unit fits in int64
+    for k in np.flatnonzero(~(abs(values) < math.ldexp(1.0, 64 - scale.bit_length()))).tolist():
+        value = float(values[k])
+        if math.isfinite(value):
+            # the grid's scale is a multiple of every value's denominator
+            num, den = value.as_integer_ratio()
+            value = num * (scale // den)
+        exact[k] = value
+    return exact
 
 
 def grid_limit(cap: float, scale: int) -> int | float:
@@ -203,9 +248,11 @@ def _links(a: AssociationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _checked_links(inst: ProblemInstance, a: AssociationMatrix):
     _check_dims(inst, a)
-    if not ((a == 0) | (a == 1)).all():
+    links = _links(a)
+    # every entry but the set links is 0 (or -0.0); NaN counts as set
+    if not (a.reshape(-1).take(links[2]) == 1).all():
         raise ValueError("association matrix entries must be 0 or 1")
-    return _links(a)
+    return links
 
 
 def _rate_total(inst: ProblemInstance, rows: np.ndarray) -> int:
@@ -244,17 +291,22 @@ def _verdict(inst: ProblemInstance, rows: np.ndarray, cols: np.ndarray,
         violated.append((CONSTRAINT_BACKHAUL,
                          f"total rate {total_rate:.6g} bps > cap {inst.backhaul_cap_bps:.6g} bps"))
 
-    # the link bandwidths grouped by hub, in hub index order; the order
-    # within a hub does not matter to fsum
+    # a hub is clear when its float bandwidth total plus a bound on that
+    # total's rounding error stays below the cap (see the module
+    # docstring); only the other hubs are summed by fsum
     link_counts = np.bincount(cols, minlength=inst.n_hubs)
-    ends = np.cumsum(link_counts).tolist()
-    bw = inst.link_table.bandwidth_hz.take(flat[np.argsort(cols, kind="stable")]).tolist()
-    start = 0
-    for j, (end, cap) in enumerate(zip(ends, inst.hub_bandwidth_caps.tolist())):
-        used = math.fsum(bw[start:end])
+    bw = inst.link_table.bandwidth_hz.take(flat)
+    caps = inst.hub_bandwidth_caps
+    total = np.bincount(cols, weights=bw, minlength=inst.n_hubs)
+    magnitude = np.bincount(cols, weights=abs(bw), minlength=inst.n_hubs)
+    # 2(K + 1)u per magnitude, K the link count, at least any hub's
+    slack = magnitude * ((len(flat) + 1) * 2.0**-52)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or past the range
+        clear = (total + slack < caps) & (magnitude < 2.0**1023)
+    for j in np.flatnonzero(~clear).tolist():
+        used, cap = math.fsum(bw[cols == j].tolist()), float(caps[j])
         if used > cap:
             violated.append((CONSTRAINT_BANDWIDTH, f"hub {j}: {used:.6g} Hz > cap {cap:.6g} Hz"))
-        start = end
 
     bad = np.flatnonzero(inst.link_table.sinr_db.take(flat) < inst.sinr_min_db)
     if bad.size:
@@ -301,12 +353,24 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     continues. Stops when links run out or no candidates remain.
 
     The candidates' links are queued by hub once, with their bandwidths as
-    ints on one `exact_grid`. Until a probe is refused, a queue's running
+    units on one `exact_grid`. Until a probe is refused, a queue's running
     totals are its prefix sums, so a hub accepts its longest fitting prefix,
-    at most its link cap long, with one bisection over them; `admit` then
-    probes the rest of the queue one by one. A hub whose queue holds a
-    negative or non-finite bandwidth, or whose cap is NaN, probes it all one
-    by one.
+    at most its link cap long; `admit` then probes the rest of the queue one
+    by one on exact Python ints.
+
+    The prefixes come from one int64 cumsum over all queues. numpy's integer
+    cumsum wraps modulo 2**64, so the difference of two of its entries is a
+    queue's exact partial sum whenever that sum is below 2**63. A hub
+    qualifies when the float sum of its bandwidths is below 2**62 / scale:
+    a float sum of k nonnegative terms is at least 1 - gamma_(k-1) times the
+    exact one (Higham 2002, 4.2; gradual underflow keeps that so), so the
+    exact queue total is below 2**63 units. Then every unit is exact in
+    int64, the partial sums ascend, and they compare with the cap's
+    `grid_limit` as with that limit clipped to int64. A hub with a negative
+    or NaN bandwidth does not qualify, nor does one with a unit wider than
+    int64, which is at least 2**63 by itself. Such a hub takes an empty
+    prefix and probes its whole queue with `admit`, as does a hub under a
+    NaN cap.
     """
     _check_dims(inst, candidates)
     ops = ops or OpCounter()
@@ -316,42 +380,46 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     # grouped by hub, then by (-rate, bandwidth); lexsort is stable, so the
     # ascending rows of the row-major links break the remaining ties
     order = np.lexsort((bw, -inst.rates.take(rows), cols))
+    bw, cols = bw[order], cols[order]
     # one grid for every queue: a common scale keeps each hub's total exact
-    units, scale = exact_grid(bw[order])
+    units, scale = _int64_grid(bw)
     counts = np.bincount(cols, minlength=m)
-    ends = np.cumsum(counts).tolist()
-    odd_hubs = set(cols[~((bw >= 0) & (bw < math.inf))].tolist())
-    link_caps = inst.hub_link_caps.tolist()
+    ends = counts.cumsum()
+    first = np.repeat(ends - counts, counts)  # queue head of each link
+    # the hubs whose queue total certainly stays below 2**63 units; a
+    # negative or NaN bandwidth counts as inf
+    reach = np.bincount(cols, weights=np.where(bw >= 0, bw, math.inf), minlength=m)
+    room = inst.hub_link_caps * (reach < math.ldexp(1.0, 63 - scale.bit_length()))
     caps = inst.hub_bandwidth_caps.tolist()
     # one grid_limit per distinct cap (a fleet's hubs usually share one); a
     # NaN key is found by identity, as each list entry is its own float
     limits = {c: grid_limit(c, scale) for c in dict.fromkeys(caps)}
-    prefix_ends: list[int] = []  # per hub, the end of its accepted prefix
+    # in int64, a NaN limit becomes -1: it admits nothing either
+    clipped = {c: min(max(t, -1), 2**63 - 1) if t == t else -1 for c, t in limits.items()}
+    hub_limit = np.fromiter(map(clipped.__getitem__, caps), np.int64, m)
+    totals = units.cumsum()
+    totals -= (totals - units).take(first)  # each queue's own prefix sums
+    taken = (np.arange(len(cols)) - first < room.take(cols)) & (totals <= hub_limit.take(cols))
+    probes = np.bincount(cols[taken], minlength=m).tolist()  # so far one per prefix link
+    ends, counts, link_caps = ends.tolist(), counts.tolist(), inst.hub_link_caps.tolist()
+    # a hub probes on while it has both candidates and free links left
+    tail = [j for j in range(m) if probes[j] < min(counts[j], link_caps[j])]
+    exact = _exact_units(units, bw, scale) if tail else []
     probed: list[int] = []  # queue positions accepted one by one
-    start = 0
-    for j, end in enumerate(ends):
-        limit, link_cap = limits[caps[j]], link_caps[j]
-        used = links = 0
-        if j not in odd_hubs and limit == limit:
-            totals = list(accumulate(units[start:min(end, start + max(link_cap, 0))]))
-            links = bisect_right(totals, limit)
-            used = totals[links - 1] if links else 0
-        prefix_ends.append(start + links)
-        probes = links
-        for k in range(start + links, end):
+    for j in tail:
+        limit, link_cap, links = limits[caps[j]], link_caps[j], probes[j]
+        start = ends[j] - counts[j] + links
+        used = int(totals[start - 1]) if links else 0
+        for k in range(start, ends[j]):
             if links >= link_cap:
                 break
-            probes += 1
-            total = admit(used, units[k], limit)
+            probes[j] += 1
+            total = admit(used, exact[k], limit)
             if total is not None:
                 probed.append(k)
                 used, links = total, links + 1
-        # probe k scans the end - start - k remaining candidates, plus 2
-        ops.add(probes * (end - start + 2) - probes * (probes - 1) // 2)
-        start = end
-    # queue position k lies on hub cols[order[k]]; it is taken when it falls
-    # in that hub's accepted prefix or was accepted by a probe
-    taken = np.arange(len(order)) < np.repeat(prefix_ends, counts)
+    # probe k scans the count - k remaining candidates, plus 2
+    ops.add(sum(p * (c + 2) - p * (p - 1) // 2 for p, c in zip(probes, counts)))
     taken[probed] = True
     a = empty_association(inst.n_cells, m)
     a.reshape(-1)[flat[order[taken]]] = 1

@@ -13,6 +13,8 @@ from skyhaul.association import (_links, check_feasible, empty_association,
                                  solve_greedy)
 from skyhaul.instances import random_instance
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestProblemInstance:
     @pytest.mark.parametrize("rates", [
@@ -99,6 +101,20 @@ class TestCheckFeasible:
         a = np.array([[1, 0], [0, -1], [0, 1]], dtype=np.int8)
         with pytest.raises(ValueError, match="0 or 1"):
             check_feasible(inst, a)
+
+    @pytest.mark.parametrize("entry", [0.5, math.nan], ids=["half", "nan"])
+    def test_non_binary_float_entry_rejected(self, entry):
+        inst = make_instance([[10.0, 10.0]] * 2, [[1e6, 1e6]] * 2, [30e6] * 2)
+        a = np.array([[1.0, 0.0], [0.0, entry]])
+        with pytest.raises(ValueError, match="0 or 1"):
+            check_feasible(inst, a)
+
+    def test_bool_and_negative_zero_entries_accepted(self):
+        inst = make_instance([[10.0, 10.0]] * 2, [[1e6, 1e6]] * 2, [30e6] * 2)
+        want = check_feasible(inst, np.array([[1, 0], [0, 1]], dtype=np.int8))
+        assert want.ok
+        assert check_feasible(inst, np.array([[True, False], [False, True]])) == want
+        assert check_feasible(inst, np.array([[1.0, -0.0], [-0.0, 1.0]])) == want
 
 
 class TestLinks:

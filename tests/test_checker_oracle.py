@@ -8,6 +8,7 @@ row-major order, and per-hub and per-cell link counts. The verdict and every
 violation message must match exactly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from _builders import make_instance
 from skyhaul.association import check_feasible, solve_greedy, solve_report
 from skyhaul.instances import random_instance
 from test_greedy_oracle import oracle_instance
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def reference_check(inst, a):
@@ -118,3 +121,60 @@ def test_no_hubs():
     a = np.zeros((3, 0), dtype=np.int8)
     assert_matches_reference(inst, a)
     assert check_feasible(inst, a).ok
+
+
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """The argument list of every math.fsum call made during the test."""
+    calls = []
+    fsum = math.fsum
+
+    def counted(values):
+        values = list(values)
+        calls.append(values)
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return calls
+
+
+ULP_BELOW = math.nextafter(0.6, -math.inf)
+ULP_ABOVE = math.nextafter(0.6, math.inf)
+
+
+@pytest.mark.parametrize("bandwidths, cap, ok, fallback", [
+    # fsum is 0.6, the left-to-right float sum 0.6000000000000001
+    ([0.1, 0.2, 0.3], 0.6, True, True),
+    ([0.1, 0.2, 0.3], ULP_BELOW, False, True),
+    ([0.1, 0.2, 0.3], ULP_ABOVE, True, True),
+    ([0.1, 0.2, 0.3], 1.0, True, False),
+    # the left-to-right float sum is 1.0 and fits; fsum is one ulp above
+    ([1.0, 2.0**-53, 2.0**-53], 1.0, False, True),
+    # the float sum 1.0 lies below the cap, fsum 1 + 2**-51 above it
+    ([1.0] + [2.0**-53] * 4, 1.0 + 2.0**-52, False, True),
+    ([math.inf, 1.0], 1e6, False, True),
+    ([math.inf, 1.0], math.inf, True, True),
+    ([1.0, 2.0], math.nan, True, True),
+    ([5.0, -3.0], 2.0, True, True),
+    ([5.0, -3.0], math.nextafter(2.0, -math.inf), False, True),
+    ([5.0, -3.0], 1e6, True, False),
+], ids=["at-fsum", "ulp-below", "ulp-above", "far-below", "float-sum-fits",
+        "float-sum-under-cap", "inf-finite-cap", "inf-infinite-cap", "nan-cap", "negative-at-cap",
+        "negative-ulp-below", "negative-far-below"])
+def test_near_cap_bandwidth_verdict(fsum_calls, bandwidths, cap, ok, fallback):
+    # hub 0 carries the links under test; hub 1 one link far below its cap
+    n = len(bandwidths) + 1
+    bw = np.ones((n, 2))
+    bw[:-1, 0] = bandwidths
+    inst = make_instance([[10.0, 10.0]] * n, bw, [30e6] * n)
+    inst = dataclasses.replace(inst, hub_bandwidth_caps=np.array([cap, 1e6]))
+    a = np.zeros((n, 2), dtype=np.int8)
+    a[:-1, 0] = 1
+    a[-1, 1] = 1
+    want_ok, want_violated = reference_check(inst, a)
+    fsum_calls.clear()
+    verdict = check_feasible(inst, a)
+    assert (verdict.ok, verdict.violated) == (want_ok, want_violated)
+    assert verdict.ok == ok
+    # only a hub the rounding-error bound cannot clear is summed by fsum
+    assert fsum_calls == ([bandwidths] if fallback else [])

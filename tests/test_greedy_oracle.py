@@ -17,6 +17,8 @@ from skyhaul.association import (exact_grid, greedy_step1, greedy_step2,
 from skyhaul.harness import relax_to_qos_only
 from skyhaul.instances import RATE_MENU_BPS, random_instance
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def bandwidth_key(b):
     """Numbers ascending, then NaN, as numpy sorts them."""
@@ -173,3 +175,58 @@ def test_prefix_cut_by_link_cap_before_bandwidth_cap(link_cap):
     packed = greedy_step2(inst, greedy_step1(inst))
     kept = max(link_cap, 0)
     assert packed[:, 0].tolist() == [1] * kept + [0] * (5 - kept)
+
+
+def spread_instance(seed: int):
+    """A tie-heavy instance with each bandwidth scaled by 2**0 to 2**15, so
+    that queues span more than 2**10 and some grid units are wider than
+    int64; the bandwidth cap is an exact partial sum of the scaled column."""
+    base = tie_heavy_instance(seed)
+    rng = np.random.default_rng(seed)
+    bw = base.link_table.bandwidth_hz * 2.0 ** rng.integers(0, 16, size=base.link_table.bandwidth_hz.shape)
+    k = int(rng.integers(0, base.n_cells + 1))
+    return make_instance(base.link_table.sinr_db, bw, base.rates,
+                         backhaul_cap_bps=base.backhaul_cap_bps,
+                         hub_bandwidth_cap_hz=math.fsum(bw[:k, 0].tolist()),
+                         hub_link_cap=int(base.hub_link_caps[0]))
+
+
+def test_matches_reference_with_units_wider_than_int64():
+    wide = 0
+    for seed in range(150):
+        inst = spread_instance(seed)
+        assert_matches_reference(inst)
+        queued = inst.link_table.bandwidth_hz[greedy_step1(inst) == 1]
+        wide += max(exact_grid(queued)[0], default=0) >= 2**63
+    assert wide >= 100
+
+
+def test_matches_reference_with_negative_bandwidths():
+    # a negative bandwidth makes a queue's running totals fall, so its hub
+    # probes one by one
+    for seed in range(100):
+        base = tie_heavy_instance(seed)
+        rng = np.random.default_rng(seed)
+        bw = base.link_table.bandwidth_hz.copy()
+        bw[rng.random(bw.shape) < 0.3] *= -1.0
+        assert_matches_reference(make_instance(
+            base.link_table.sinr_db, bw, base.rates,
+            backhaul_cap_bps=base.backhaul_cap_bps,
+            hub_bandwidth_cap_hz=float(base.hub_bandwidth_caps[0]),
+            hub_link_cap=int(base.hub_link_caps[0])))
+
+
+def test_matches_reference_with_queue_total_past_2_63():
+    # cells 0-4 request hub 0, cells 5-6 hub 1. On the grid of the smallest
+    # bandwidth, 1.0, each 1000.0 is a unit below 2**63, and hub 0's queue
+    # totals more than 2**64, so it probes one by one; hub 1's queue stays
+    # in range and takes its prefix from the int64 totals
+    bw = [[1.0, 9.0]] + [[1000.0, 9.0]] * 4 + [[9.0, 2.0], [9.0, 3.0]]
+    units, _ = exact_grid(np.array([row[0] for row in bw[:5]]))
+    assert max(units) < 2**63 <= sum(units)
+    sinr = [[10.0, 5.0]] * 5 + [[5.0, 10.0]] * 2
+    inst = make_instance(sinr, bw, [30e6] * 7, hub_bandwidth_cap_hz=2500.0)
+    assert_matches_reference(inst)
+    # 1.0 + 1000.0 + 1000.0 fit hub 0's cap, a third 1000.0 would not
+    packed = greedy_step2(inst, greedy_step1(inst))
+    assert packed.tolist() == [[1, 0]] * 3 + [[0, 0]] * 2 + [[0, 1]] * 2
