@@ -159,8 +159,8 @@ ULP_ABOVE = math.nextafter(0.6, math.inf)
     ([5.0, -3.0], math.nextafter(2.0, -math.inf), False, True),
     ([5.0, -3.0], 1e6, True, False),
 ], ids=["at-fsum", "ulp-below", "ulp-above", "far-below", "float-sum-fits",
-        "float-sum-under-cap", "inf-finite-cap", "inf-infinite-cap", "nan-cap", "negative-at-cap",
-        "negative-ulp-below", "negative-far-below"])
+        "float-sum-under-cap", "inf-finite-cap", "inf-infinite-cap", "nan-cap",
+        "negative-at-cap", "negative-ulp-below", "negative-far-below"])
 def test_near_cap_bandwidth_verdict(fsum_calls, bandwidths, cap, ok, fallback):
     # hub 0 carries the links under test; hub 1 one link far below its cap
     n = len(bandwidths) + 1

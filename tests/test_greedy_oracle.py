@@ -183,7 +183,8 @@ def spread_instance(seed: int):
     int64; the bandwidth cap is an exact partial sum of the scaled column."""
     base = tie_heavy_instance(seed)
     rng = np.random.default_rng(seed)
-    bw = base.link_table.bandwidth_hz * 2.0 ** rng.integers(0, 16, size=base.link_table.bandwidth_hz.shape)
+    bw = base.link_table.bandwidth_hz
+    bw = bw * 2.0 ** rng.integers(0, 16, size=bw.shape)
     k = int(rng.integers(0, base.n_cells + 1))
     return make_instance(base.link_table.sinr_db, bw, base.rates,
                          backhaul_cap_bps=base.backhaul_cap_bps,
@@ -219,7 +220,7 @@ def test_matches_reference_with_negative_bandwidths():
 def test_matches_reference_with_queue_total_past_2_63():
     # cells 0-4 request hub 0, cells 5-6 hub 1. On the grid of the smallest
     # bandwidth, 1.0, each 1000.0 is a unit below 2**63, and hub 0's queue
-    # totals more than 2**64, so it probes one by one; hub 1's queue stays
+    # totals more than 2**63, so it probes one by one; hub 1's queue stays
     # in range and takes its prefix from the int64 totals
     bw = [[1.0, 9.0]] + [[1000.0, 9.0]] * 4 + [[9.0, 2.0], [9.0, 3.0]]
     units, _ = exact_grid(np.array([row[0] for row in bw[:5]]))
