@@ -46,15 +46,16 @@ allows, and take the exact route above elsewhere:
   cap. A float sum of k terms, in any order, is within
   gamma_(k-1) = (k - 1)u / (1 - (k - 1)u) times the sum of their
   magnitudes of the exact sum (Higham 2002, Accuracy and Stability of
-  Numerical Algorithms, 4.2); the factor 2 and the K + 1 cover M's own
-  error and the rounding of the slack's product. The test's
-  addition needs no margin: rounding is monotone and the cap is a double,
-  so t + slack < cap as computed holds exactly too, and so the exact sum,
-  and fsum's rounding of it, is below the cap. A clear hub also needs
-  M < 2**1023, which keeps every partial sum fsum forms inside the double
-  range. The other hubs, at, near or over their cap, under a NaN cap or
-  with a non-finite total, get math.fsum of their links, so every verdict
-  and printed total is fsum's.
+  Numerical Algorithms, 4.2); the
+  factor 2 and the K + 1 cover M's own error and the rounding of the
+  slack's product. The test's addition needs no margin: rounding is
+  monotone and the cap is a double, so t + slack < cap as computed holds
+  exactly too; the exact sum is then below the cap, and fsum's rounding of
+  it at most the cap. A clear hub also needs M < 2**1023, which keeps
+  every partial sum fsum forms inside the double range. The other hubs,
+  at, near or over their cap, under a NaN cap or with a non-finite total,
+  get math.fsum of their links, so every verdict and printed total is
+  fsum's.
 """
 
 import functools
