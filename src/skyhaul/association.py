@@ -161,9 +161,11 @@ def _int64_grid(values: np.ndarray) -> tuple[np.ndarray, int]:
     abs(values[k]) * scale < 2**63."""
     finite = np.isfinite(values)
     mant, exp = np.frexp(np.where(finite, values, 0.0))
-    # mant * 2**53 is a whole number for every double; value = that * 2**lift
+    # mant * 2**53 is a whole number for every double; value = that * 2**lift.
+    # A zero, or a non-finite value zeroed above, is 0 on any grid: it does
+    # not set the scale
     lift = exp - 53
-    low = int(lift.min(initial=0))
+    low = int(lift.min(where=mant != 0, initial=0))
     # a whole of 53 bits shifted by up to 10 stays below 2**63; a unit that
     # needs a wider shift is at least 2**63
     units = (mant * 2.0**53).astype(np.int64) << np.minimum(lift - low, 10)

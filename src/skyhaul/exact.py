@@ -2,19 +2,24 @@
 force enumerator kept to cross-check the search on small instances.
 
 The search is one function: `solve_exact` keeps its state in local lists
-and ints and runs one nested `dfs(depth, running)`. It assigns cells one at
-a time, highest demanded rate first; each cell goes to an admissible hub
-with spare capacity (a recursive call) or stays unassigned (the next pass
-of `dfs`'s loop). A subtree is cut when an optimistic completion bound
-cannot beat the incumbent.
+and ints and walks a plan built once, which holds per depth the cell, its
+demand and its admissible hubs with their bandwidths as grid units. It
+assigns cells one at a time, highest demanded rate first; each cell goes to
+an admissible hub with spare capacity (a frame pushed on an explicit stack)
+or stays unassigned (the next pass of the loop). A leaf or a cut pops the
+last frame, whose cell resumes its hub scan where it stopped; nothing
+recurses, so no recursion limit applies. A subtree is cut when an
+optimistic completion bound cannot beat the incumbent.
 
 The bound adds to the running objective the most the remaining cells can
 add: nothing without backhaul headroom, all their demand if it fits, else
 the headroom rounded down to a multiple of the gcd of their demands, since
 demands are whole bps. Rate totals are exact Python ints (below 2**53, so
-they equal the checker's fsum); each hub's bandwidth total is an exact int
-on one `exact_grid`, judged by `admit` against its `grid_limit` as in
-greedy step 2.
+they equal the checker's fsum), and a whole total fits the backhaul cap iff
+it fits the cap's floor, so the backhaul test and the bound are int
+arithmetic. Each hub's bandwidth total is an exact int on one `exact_grid`,
+compared with its `grid_limit` as in greedy step 2; a non-finite unit is
+settled by `admit`'s rules when the plan is built.
 
 The enumerator has no capacity logic of its own beyond vectorised sums:
 its rate sums are exact, and a candidate whose float bandwidth sum lands
@@ -66,8 +71,10 @@ def solve_exact(inst: ProblemInstance,
     Leaves, bound cuts and rejected probes count one node each. On reaching
     node_budget nodes, even as the search finishes, it raises
     NodeBudgetExceeded carrying the best association found so far.
-    Recursion nests once per assigned cell, not once per cell, so the depth
-    is the number of cells assigned on the current path plus one.
+    The search walks a per-depth plan of each cell's admissible hubs with
+    an explicit stack, one frame per assigned cell, so its depth is bounded
+    by memory, not by Python's recursion limit. Totals are whole bps, so
+    the backhaul is judged against the cap's floor in int arithmetic.
     """
     t0 = time.perf_counter()
     n, m = inst.n_cells, inst.n_hubs
@@ -78,14 +85,26 @@ def solve_exact(inst: ProblemInstance,
     tail_rates = [rates[i] for i in reversed(order)]
     suffix_sum = list(accumulate(tail_rates, initial=0))[::-1]
     suffix_gcd = list(accumulate(tail_rates, math.gcd, initial=0))[::-1]
-    admissible = [np.flatnonzero(row).tolist()
-                  for row in inst.link_table.sinr_db >= inst.sinr_min_db]
-    units, scale = exact_grid(inst.link_table.bandwidth_hz.ravel())
-    link_caps = inst.hub_link_caps.tolist()
+    # whole-bps totals fit a cap iff they fit its floor; an infinite cap
+    # fits the total demand, and -inf or NaN fits nothing
+    if math.isfinite(cap):
+        top = math.floor(cap)
+    else:
+        top = suffix_sum[0] if cap > 0 else -1
+    bw = inst.link_table.bandwidth_hz.ravel()
+    units, scale = exact_grid(bw)
     limits = [grid_limit(c, scale) for c in inst.hub_bandwidth_caps.tolist()]
+    # a non-finite unit, judged once by admit: 0 where it fits and adds
+    # nothing (an infinite cap), None where it never fits
+    for k in np.flatnonzero(~np.isfinite(bw)).tolist():
+        units[k] = admit(0, units[k], limits[k % m])
+    free = [max(c, 0) for c in inst.hub_link_caps.tolist()]  # links each hub may take
+    ok = (inst.link_table.sinr_db >= inst.sinr_min_db).tolist()
+    # per depth: the cell, its demand and its admissible (hub, unit) pairs
+    plan = [(i, rates[i], [(j, units[i * m + j]) for j in range(m) if ok[i][j]])
+            for i in order]
 
     assign = [-1] * n  # hub per cell, -1 for unassigned
-    links = [0] * m
     used = [0] * m  # each hub's exact bandwidth total, grid units
     nodes = 0
     best = assign[:]
@@ -98,48 +117,48 @@ def solve_exact(inst: ProblemInstance,
                 a[i, j] = 1
         return a
 
-    def dfs(depth: int, running: int):
-        nonlocal nodes, best, best_value
-        # one pass per cell; "leave cell i unassigned" continues the loop
-        # rather than recursing, so the nesting grows only per assigned cell
-        while True:
-            if nodes >= node_budget:
-                raise NodeBudgetExceeded(nodes, incumbent(), best_value)
-            if depth == n:
-                nodes += 1
-                if running > best_value:
-                    best, best_value = assign[:], running
-                return
-            headroom = cap - running
-            if headroom <= 0:
-                gain = 0
-            elif headroom >= suffix_sum[depth]:
-                gain = suffix_sum[depth]
-            else:
-                gain = math.floor(headroom / suffix_gcd[depth]) * suffix_gcd[depth]
-            if running + gain <= best_value:
-                nodes += 1
-                return
-
-            i = order[depth]
-            rate = rates[i]
-            for j in admissible[i]:
-                total = None
-                if links[j] < link_caps[j] and running + rate <= cap:
-                    total = admit(used[j], units[i * m + j], limits[j])
-                if total is None:
-                    nodes += 1
-                    continue
-                saved, used[j] = used[j], total
-                assign[i] = j
-                links[j] += 1
-                dfs(depth + 1, running + rate)
-                used[j] = saved
-                links[j] -= 1
-                assign[i] = -1
-            depth += 1
-
-    dfs(0, 0)
+    # one frame per assigned cell: (the iterator over its hub list, which
+    # holds the scan's position, its depth, the running total before it, its
+    # hub, that hub's total before it)
+    stack = []
+    push, pop = stack.append, stack.pop
+    depth = running = 0
+    while True:
+        # one pass per depth; "leave the cell unassigned" is the next pass
+        if nodes >= node_budget:
+            raise NodeBudgetExceeded(nodes, incumbent(), best_value)
+        headroom = top - running
+        gain = suffix_sum[depth]
+        if headroom < gain:  # the headroom, down to a multiple of the gcd
+            g = suffix_gcd[depth]
+            gain = headroom // g * g if headroom > 0 else 0
+        if depth < n and running + gain > best_value:
+            cell, rate, hubs = plan[depth]
+            if rate > headroom:  # over the backhaul: every hub refuses
+                nodes += len(hubs)
+                depth += 1
+                continue
+            scan = iter(hubs)
+        else:  # a leaf or a bound cut; back to the last assigned cell
+            nodes += 1
+            if running > best_value:  # only a leaf passes the bound here
+                best, best_value = assign[:], running
+            if not stack:
+                break
+            scan, depth, running, j, used[j] = pop()
+            free[j] += 1
+            cell, rate, _ = plan[depth]
+            assign[cell] = -1
+        for j, u in scan:
+            if free[j] and u is not None and used[j] + u <= limits[j]:
+                push((scan, depth, running, j, used[j]))
+                used[j] += u
+                free[j] -= 1
+                assign[cell] = j
+                running += rate
+                break
+            nodes += 1
+        depth += 1
     if nodes >= node_budget:
         raise NodeBudgetExceeded(nodes, incumbent(), best_value)
     a = incumbent()

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,10 @@ from skyhaul.association import check_feasible, objective, solve_greedy
 from skyhaul.config import ScenarioConfig
 from skyhaul.exact import (NodeBudgetExceeded, SizeGuardError, enumerate_all,
                            solve_exact)
-from skyhaul.harness import prepare_scenario
+from skyhaul.harness import prepare_scenario, relax_to_qos_only
 from skyhaul.instances import RATE_MENU_BPS, random_instance
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestSolveExactSmall:
@@ -27,6 +32,14 @@ class TestSolveExactSmall:
         assert a.sum() == 0
         assert report.sum_rate_bps == 0.0
         assert report.feasible
+
+    def test_nan_backhaul_cap_keeps_empty(self):
+        # no total compares at most NaN, so no cell fits; the root is cut
+        inst = make_instance([[10.0], [10.0]], [[1e6], [1e6]],
+                             [100e6, 50e6], backhaul_cap_bps=math.nan)
+        a, report = solve_exact(inst)
+        assert a.sum() == 0
+        assert report.node_count == 1
 
     def test_inadmissible_everywhere_keeps_empty(self):
         inst = make_instance([[-30.0, -40.0]] * 3, [[1e6, 1e6]] * 3,
@@ -166,3 +179,23 @@ class TestHardSeedPanel:
         assert exc_info.value.incumbent_value == 1470e6
         _, report = solve_exact(inst, node_budget=26_825)
         assert report.node_count == 26_824
+
+
+class TestAnyDepth:
+    # 3000 cells over 40 hubs: one search path assigns more cells than
+    # Python's recursion limit, which the search once nested per cell
+    def test_deep_instance_solves_under_all_constraints(self):
+        inst = random_instance(0, 3000, 40, tight=True)
+        a, report = solve_exact(inst)
+        assert a.sum() > sys.getrecursionlimit()
+        assert report.node_count == 93_331
+        assert report.feasible
+
+    def test_deep_instance_reaches_budget_under_qos_only(self):
+        inst = relax_to_qos_only(random_instance(0, 3000, 40, tight=True))
+        with pytest.raises(NodeBudgetExceeded) as exc_info:
+            solve_exact(inst, node_budget=200_000)
+        err = exc_info.value
+        assert err.node_count == 200_018
+        assert err.incumbent.sum() > sys.getrecursionlimit()
+        assert check_feasible(inst, err.incumbent).ok

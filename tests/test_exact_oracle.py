@@ -1,0 +1,200 @@
+"""The stack-driven branch and bound against the recursive search it
+replaced.
+
+`reference_exact` is that recursive `solve_exact`, unedited apart from its
+name: one nested `dfs` per assigned cell, each probe judged by `admit`, the
+backhaul compared as a float. Matrix, node count, sum rate and any
+NodeBudgetExceeded (count, incumbent, value) must match exactly, at several
+budgets, on edge instances and on placed seeds of the default preset.
+"""
+
+import dataclasses
+import math
+import time
+from itertools import accumulate
+
+import numpy as np
+import pytest
+
+from skyhaul.association import (AssociationMatrix, ProblemInstance, admit,
+                                 empty_association, exact_grid, grid_limit,
+                                 solve_report)
+from skyhaul.config import ScenarioConfig
+from skyhaul.deployment import PlacementError
+from skyhaul.exact import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, solve_exact
+from skyhaul.harness import prepare_scenario, relax_to_qos_only
+from skyhaul.instances import random_instance
+from skyhaul.report import SolveReport
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def reference_exact(inst: ProblemInstance,
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[AssociationMatrix, SolveReport]:
+    """Globally optimal association by depth-first branch and bound.
+
+    Cells are visited highest demand first (ties: lower index); for each cell
+    the admissible hubs are tried in ascending index before the unassigned
+    branch. The incumbent starts as the empty association at value 0, which
+    is always feasible, and only strictly better completions replace it.
+    Leaves, bound cuts and rejected probes count one node each. On reaching
+    node_budget nodes, even as the search finishes, it raises
+    NodeBudgetExceeded carrying the best association found so far.
+    Recursion nests once per assigned cell, not once per cell, so the depth
+    is the number of cells assigned on the current path plus one.
+    """
+    t0 = time.perf_counter()
+    n, m = inst.n_cells, inst.n_hubs
+    cap = inst.backhaul_cap_bps
+    rates = inst.int_rates
+    order = sorted(range(n), key=lambda i: (-rates[i], i))
+    # total and gcd of the demands of cells order[k:]
+    tail_rates = [rates[i] for i in reversed(order)]
+    suffix_sum = list(accumulate(tail_rates, initial=0))[::-1]
+    suffix_gcd = list(accumulate(tail_rates, math.gcd, initial=0))[::-1]
+    admissible = [np.flatnonzero(row).tolist()
+                  for row in inst.link_table.sinr_db >= inst.sinr_min_db]
+    units, scale = exact_grid(inst.link_table.bandwidth_hz.ravel())
+    link_caps = inst.hub_link_caps.tolist()
+    limits = [grid_limit(c, scale) for c in inst.hub_bandwidth_caps.tolist()]
+
+    assign = [-1] * n  # hub per cell, -1 for unassigned
+    links = [0] * m
+    used = [0] * m  # each hub's exact bandwidth total, grid units
+    nodes = 0
+    best = assign[:]
+    best_value = 0
+
+    def incumbent() -> AssociationMatrix:
+        a = empty_association(n, m)
+        for i, j in enumerate(best):
+            if j >= 0:
+                a[i, j] = 1
+        return a
+
+    def dfs(depth: int, running: int):
+        nonlocal nodes, best, best_value
+        # one pass per cell; "leave cell i unassigned" continues the loop
+        # rather than recursing, so the nesting grows only per assigned cell
+        while True:
+            if nodes >= node_budget:
+                raise NodeBudgetExceeded(nodes, incumbent(), best_value)
+            if depth == n:
+                nodes += 1
+                if running > best_value:
+                    best, best_value = assign[:], running
+                return
+            headroom = cap - running
+            if headroom <= 0:
+                gain = 0
+            elif headroom >= suffix_sum[depth]:
+                gain = suffix_sum[depth]
+            else:
+                gain = math.floor(headroom / suffix_gcd[depth]) * suffix_gcd[depth]
+            if running + gain <= best_value:
+                nodes += 1
+                return
+
+            i = order[depth]
+            rate = rates[i]
+            for j in admissible[i]:
+                total = None
+                if links[j] < link_caps[j] and running + rate <= cap:
+                    total = admit(used[j], units[i * m + j], limits[j])
+                if total is None:
+                    nodes += 1
+                    continue
+                saved, used[j] = used[j], total
+                assign[i] = j
+                links[j] += 1
+                dfs(depth + 1, running + rate)
+                used[j] = saved
+                links[j] -= 1
+                assign[i] = -1
+            depth += 1
+
+    dfs(0, 0)
+    if nodes >= node_budget:
+        raise NodeBudgetExceeded(nodes, incumbent(), best_value)
+    a = incumbent()
+    return a, solve_report(inst, a, "exact", time.perf_counter() - t0, nodes, nodes)
+
+
+def solve_or_budget(solve, inst, node_budget):
+    """("ok", matrix, node count, sum rate) or ("budget", incumbent, node
+    count, incumbent value)."""
+    try:
+        a, report = solve(inst, node_budget)
+    except NodeBudgetExceeded as err:
+        return "budget", err.incumbent, err.node_count, err.incumbent_value
+    return "ok", a, report.node_count, report.sum_rate_bps
+
+
+def assert_matches_reference(inst, budgets=(1, 3, 7, DEFAULT_NODE_BUDGET)):
+    for budget in budgets:
+        want = solve_or_budget(reference_exact, inst, budget)
+        got = solve_or_budget(solve_exact, inst, budget)
+        assert got[0] == want[0] and got[2:] == want[2:], budget
+        assert np.array_equal(got[1], want[1]), budget
+
+
+def with_bandwidth(inst, value, k):
+    """`inst` with flat bandwidth entry k set to value, on an admissible
+    link where there is one."""
+    bw = inst.link_table.bandwidth_hz.copy()
+    admissible = np.flatnonzero(inst.link_table.sinr_db >= inst.sinr_min_db)
+    if admissible.size:
+        k = int(admissible[k % admissible.size])
+    bw.reshape(-1)[k] = value
+    table = dataclasses.replace(inst.link_table, bandwidth_hz=bw)
+    return dataclasses.replace(inst, link_table=table)
+
+
+def edge_instance(seed: int, family: str):
+    inst = random_instance(seed, 2 + seed % 9, 1 + seed % 4, tight=seed % 2 == 0)
+    if family == "all":
+        return inst
+    if family == "qos-only":
+        return relax_to_qos_only(inst)
+    if family == "inf-backhaul":
+        return dataclasses.replace(inst, backhaul_cap_bps=math.inf)
+    if family == "no-backhaul":
+        return dataclasses.replace(inst, backhaul_cap_bps=-math.inf)
+    if family == "nan-hub-cap":
+        caps = inst.hub_bandwidth_caps.copy()
+        caps[seed % inst.n_hubs] = math.nan
+        return dataclasses.replace(inst, hub_bandwidth_caps=caps)
+    value = {"inf-bw": math.inf, "nan-bw": math.nan,
+             "negative-bw": -1e6, "zero-bw": 0.0}[family]
+    return with_bandwidth(inst, value, seed)
+
+
+FAMILIES = ["all", "qos-only", "inf-backhaul", "no-backhaul", "nan-hub-cap",
+            "inf-bw", "nan-bw", "negative-bw", "zero-bw"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_matches_reference_on_edge_instances(family):
+    for seed in range(150):
+        assert_matches_reference(edge_instance(seed, family))
+
+
+@pytest.mark.parametrize("family", ["inf-bw", "nan-bw", "zero-bw"])
+def test_matches_reference_on_relaxed_edge_instances(family):
+    # under an infinite hub cap an inf or zero bandwidth fits and adds
+    # nothing; NaN still never fits
+    for seed in range(100):
+        assert_matches_reference(relax_to_qos_only(edge_instance(seed, family)))
+
+
+def test_matches_reference_on_placed_seeds():
+    placed = 0
+    for seed in range(60):
+        try:
+            inst = prepare_scenario(ScenarioConfig(seed=seed)).instance
+        except PlacementError:
+            continue
+        placed += 1
+        assert_matches_reference(inst)
+        assert_matches_reference(relax_to_qos_only(inst), budgets=(7, 5_000))
+    assert placed >= 40

@@ -6,12 +6,14 @@ plus the candidate, and a trim that picks the lightest live hub afresh
 before every removal. Matrix, hubs in use and op count must match exactly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from _builders import make_instance
+from skyhaul import association
 from skyhaul.association import (exact_grid, greedy_step1, greedy_step2,
                                  greedy_step3, grid_limit, solve_greedy)
 from skyhaul.harness import relax_to_qos_only
@@ -231,3 +233,25 @@ def test_matches_reference_with_queue_total_past_2_63():
     # 1.0 + 1000.0 + 1000.0 fit hub 0's cap, a third 1000.0 would not
     packed = greedy_step2(inst, greedy_step1(inst))
     assert packed.tolist() == [[1, 0]] * 3 + [[0, 0]] * 2 + [[0, 1]] * 2
+
+
+@pytest.mark.parametrize("value, probed", [(0.0, 0), (math.inf, 74)])
+def test_zero_or_inf_candidate_leaves_the_grid_alone(monkeypatch, value, probed):
+    # a zero or non-finite bandwidth is 0 on any grid, so it does not set the
+    # scale: the other hubs still take their prefix from the int64 totals,
+    # and only a hub queueing an inf probes one by one with admit
+    base = random_instance(0, 3000, 40, tight=True)
+    candidates = greedy_step1(base)
+    i, j = np.argwhere(candidates)[0]
+    bw = base.link_table.bandwidth_hz.copy()
+    bw[i, j] = value
+    inst = dataclasses.replace(
+        base, link_table=dataclasses.replace(base.link_table, bandwidth_hz=bw))
+    assert_matches_reference(inst)
+    calls = []
+    admit = association.admit
+    monkeypatch.setattr(association, "admit",
+                        lambda *args: calls.append(args) or admit(*args))
+    greedy_step2(inst, candidates)
+    assert len(calls) == probed
+    assert probed < candidates[:, j].sum()
