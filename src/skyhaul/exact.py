@@ -141,7 +141,7 @@ def solve_exact(inst: ProblemInstance,
             scan = iter(hubs)
         else:  # a leaf or a bound cut; back to the last assigned cell
             nodes += 1
-            if running > best_value:  # only a leaf passes the bound here
+            if running > best_value:  # a leaf; a cut never beats best_value
                 best, best_value = assign[:], running
             if not stack:
                 break
