@@ -9,6 +9,12 @@ elementwise on numpy arrays; a whole cell x hub table is one evaluation.
 ChannelParams holds the environment constants that the propagation
 functions take on their own. build_link_table reads the link budget
 (tx_power_w, noise_w) straight from the ScenarioConfig, which validates it.
+
+The interference total of a cell is math.fsum's correctly rounded sum of its
+row of received powers, so no SINR depends on hub order. row_fsum takes all
+rows at once: it sums each row in np.longdouble, keeps the rounded total
+where a rounding-error bound (Higham 2002, 4.2) certifies it equals fsum's,
+and runs math.fsum only on the other rows (ties, overflow, non-finite sums).
 """
 
 import math
@@ -26,6 +32,9 @@ LIGHT_SPEED = 2.998e8  # m/s
 BRACKET_DOUBLINGS = 60
 # and judges the midpoints of the next 6 bisection levels in one call
 _SUBTREE_SIZE = 2 ** 6 - 1
+# unit roundoff of np.longdouble and of float64
+_U_LONG = float(np.finfo(np.longdouble).eps) / 2
+_U_DOUBLE = 2.0 ** -53
 
 
 class CoverageError(RuntimeError):
@@ -110,6 +119,54 @@ def path_loss_db(params: ChannelParams, s, h):
     return fspl + p * params.eta_los_db + (1.0 - p) * params.eta_nlos_db
 
 
+def row_fsum(x: np.ndarray) -> np.ndarray:
+    """math.fsum of every row of a 2-D float64 array, as a float64 array.
+
+    Each row of m terms is summed in np.longdouble to S and rounded to the
+    double r. The argument that r is fsum's result, the exactly rounded sum
+    s, wherever the row is certified:
+
+    - A sum of m terms in any order is within gamma_(m-1) = (m-1)u /
+      (1 - (m-1)u) times the sum of the terms' magnitudes of s, u being the
+      unit roundoff: each term passes through at most m - 1 roundings
+      (Higham 2002, Accuracy and Stability of Numerical Algorithms, 4.2).
+      Additions are exact in the subnormal range, so underflow keeps that.
+    - The magnitudes are summed as doubles to A, which is at least
+      1 - gamma_(m-1) (of doubles) times their exact sum. So |S - s| is at
+      most B = c * A, with c = gamma_(m-1) (of np.longdouble) over
+      1 - gamma_(m-1) (of doubles), raised by 2**-20 to cover the rounding
+      of c and of the product. c is an np.longdouble, so B cannot
+      underflow.
+    - d = S - r is exact by Sterbenz's lemma, since r is S rounded.
+    - A row is certified when 2(|d| + B) < g, with g the gap from r to its
+      neighbouring double toward zero, the smaller of its two gaps. Then s
+      lies strictly inside r's rounding interval. Rounding is monotone and
+      the doubling is exact, so the computed comparison implies the exact
+      one.
+    - A certified row also needs A < 2**1023, which keeps every partial sum
+      fsum forms inside the double range, so fsum would raise nothing.
+
+    The other rows get math.fsum, with its results and errors: ties, an r
+    of 0 (g is 0), non-finite terms or sums, sums near or past overflow,
+    and, where np.longdouble is no wider than a double, nearly every row.
+    The argument needs IEEE arithmetic in np.longdouble, as binary64, x87
+    extended and binary128 have.
+    """
+    k = x.shape[1] - 1
+    c = k * _U_LONG / (1 - k * _U_LONG) / (1 - k * _U_DOUBLE / (1 - k * _U_DOUBLE))
+    c = np.longdouble(c * (1 + 2.0 ** -20))
+    with np.errstate(over="ignore", invalid="ignore"):
+        long_sum = np.einsum("ij->i", x, dtype=np.longdouble)
+        r = long_sum.astype(np.float64)
+        d = long_sum - r
+        a = np.einsum("ij->i", np.abs(x))
+        gap = np.abs(r - np.nextafter(r, 0.0))
+        certified = (2 * (np.abs(d) + c * a) < gap) & (a < 2.0 ** 1023)
+    for i in np.flatnonzero(~certified).tolist():
+        r[i] = math.fsum(x[i].tolist())
+    return r
+
+
 def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
     """Evaluate path loss, SINR, spectral efficiency and bandwidth demand for
     every (cell, hub) pair of a layout.
@@ -118,6 +175,13 @@ def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
     of pair (i, j) is rate_i / spec_eff_ij. Where the SINR is so small that
     log2(1 + sinr) rounds to 0, that demand is inf: the link carries
     nothing, and `admit` refuses it under any finite bandwidth cap.
+
+    The interference at cell i on hub j is row i's total received power
+    minus rx_ij, the total being math.fsum's exactly rounded row sum. row_fsum
+    finds every row's total at once: a long-double sum, kept where its
+    rounding-error bound certifies it rounds to fsum's double, with
+    math.fsum on the other rows. Every value, and every OverflowError, is
+    fsum's.
     """
     cells, hubs = layout.cells, layout.hubs
     if len(cells) == 0 or len(hubs) == 0:
@@ -129,7 +193,7 @@ def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
 
     # The interference at cell i from every hub but j is the fsum of row i
     # minus rx_ij: one exact row sum, so no result depends on hub order.
-    total = np.array([math.fsum(row) for row in rx.tolist()])
+    total = row_fsum(rx)
     sinr = rx / (total[:, None] - rx + cfg.noise_w)
 
     sinr_db = 10.0 * np.log10(sinr)

@@ -78,6 +78,7 @@ def cells_per_hub(bandwidth_cap_hz: float, rates: list[float], avg_spec_eff: flo
 
     floor(B / b_avg) with b_avg from mean_bandwidth_hz. Returns 0 when even
     one average cell does not fit; callers must treat that as infeasible.
+    Raises OverflowError when B / b_avg overflows to inf.
     """
     return math.floor(bandwidth_cap_hz / mean_bandwidth_hz(rates, avg_spec_eff))
 

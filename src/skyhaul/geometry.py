@@ -79,7 +79,7 @@ def hardcore_thin(points: np.ndarray, min_separation: float) -> np.ndarray:
     # candidate pairs (i, j > i) in sorted positions, window by window
     i = np.repeat(np.arange(n), counts)
     j = np.arange(len(i)) + np.repeat(ends - np.cumsum(counts), counts)
-    diff = sorted_pts[i] - sorted_pts[j]
+    diff = sorted_pts.take(i, axis=0) - sorted_pts.take(j, axis=0)
     close = np.einsum("ij,ij->i", diff, diff) < min_separation**2
     keep = np.ones(n, dtype=bool)
     keep[order[i[close]]] = False

@@ -106,7 +106,12 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
     rates = draw_rates(cfg, len(cells))
 
     rate_list = rates.tolist()
-    per_hub_cap = cells_per_hub(cfg.hub_bandwidth_hz, rate_list, cfg.avg_spec_eff)
+    try:
+        per_hub_cap = cells_per_hub(cfg.hub_bandwidth_hz, rate_list, cfg.avg_spec_eff)
+    except OverflowError as exc:
+        raise ConfigError(f"hub_bandwidth_hz / (mean rate / avg_spec_eff) overflows "
+                          f"with hub_bandwidth_hz = {cfg.hub_bandwidth_hz!r} and "
+                          f"avg_spec_eff = {cfg.avg_spec_eff!r}") from exc
     n_hubs = fleet_size(len(cells), cfg.hub_link_cap, per_hub_cap)
     hub_min_sep = coverage_radius(cfg.channel, cfg.hub_altitude_m, cfg.pl_max_db)
     hubs = place_fleet(cfg, n_hubs, hub_min_sep, sub_seed(cfg.seed, _STREAM_HUBS))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from _builders import make_layout
 from skyhaul.channel import (BRACKET_DOUBLINGS, LIGHT_SPEED, ChannelParams,
                              CoverageError, build_link_table, coverage_radius,
-                             p_los, path_loss_db)
+                             p_los, path_loss_db, row_fsum)
 from skyhaul.config import ScenarioConfig, table1_urban
 from skyhaul.deployment import Layout
 from skyhaul.harness import prepare_scenario
@@ -257,6 +257,128 @@ class TestBuildLinkTable:
             dense_layout, hubs=dense_layout.hubs[order]))
         for name in ("pl_db", "sinr_db", "spec_eff", "bandwidth_hz"):
             assert np.array_equal(getattr(permuted, name), getattr(base, name)[:, order])
+
+
+DOUBLE_MAX = np.finfo(np.float64).max
+
+
+def per_row_fsum(x):
+    """math.fsum of each row in turn, as the link table once summed them."""
+    return np.array([math.fsum(row) for row in x.tolist()])
+
+
+def sum_outcome(sums, x):
+    """The bytes of the row sums, or the type and message of the error."""
+    try:
+        return sums(x).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def tie_rows(draw, m):
+    """m >= 2 nonnegative terms whose exact sum is a double r plus or minus
+    half its gap to the next double, a tie that fsum rounds to even; or
+    that sum nudged by a tiny term; or the tie above r less 2**-10 gaps,
+    plus up to m - 2 terms of 2**-14 gaps, which a long-double sum of terms
+    near r drops, so that it lands on the other side of the tie."""
+    r = draw(st.floats(2.0 ** -1000, DOUBLE_MAX / 2))
+    above = math.nextafter(r, math.inf) - r
+    below = r - math.nextafter(r, 0.0)
+    kind = draw(st.sampled_from(["above", "below", "nudged", "drift"]))
+    if kind == "above":
+        terms = [r, above / 2]
+    elif kind == "below":
+        terms = [r / 2, (r - below) / 2]
+    elif kind == "nudged":
+        terms = [r, above / 2, math.ldexp(below, -70)]
+    else:
+        terms = [r, above / 2 - math.ldexp(above, -10)]
+        terms += [math.ldexp(above, -14)] * draw(st.integers(0, m - 2))
+    row = (terms + [0.0] * m)[:m]
+    return draw(st.permutations(row))
+
+
+def random_row(rng, kind, m, base):
+    """m doubles of one kind; in some rows about a third are zeros."""
+    if kind == "subnormal":
+        row = rng.integers(0, 2 ** 52, m).view(np.float64)
+    elif kind == "spread":  # up to 600 binades above 2**base
+        row = np.ldexp(rng.uniform(1.0, 2.0, m),
+                       np.minimum(base + rng.integers(0, 601, m), 1023))
+    elif kind == "huge":  # near the largest double: the sum overflows
+        row = rng.uniform(DOUBLE_MAX / 4, DOUBLE_MAX, m)
+    else:  # uniform bit patterns: every finite binade
+        row = rng.integers(0, 0x7FF0000000000000, m).view(np.float64)
+    if kind == "non-finite":
+        row = np.where(rng.random(m) < 0.1, rng.choice([np.inf, -np.inf, np.nan], m), row)
+    return np.where(rng.random(m) < rng.choice([0.0, 0.3]), 0.0, row)
+
+
+@st.composite
+def fsum_matrices(draw):
+    """1-8 rows of 1-200 doubles, each row of one kind: any doubles,
+    subnormals, spreads of up to 600 binades, values near the largest
+    double, or half-ulp ties; some with zeros mixed in. With signed, the
+    rows other than the ties take random signs, and some take infs and
+    NaNs."""
+    m = draw(st.integers(1, 200))
+    base = draw(st.integers(-1074, 1023))
+    signed = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = ["any", "subnormal", "spread", "huge"] + ["tie"] * (m >= 2) \
+        + ["non-finite"] * signed
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+        if kind == "tie":
+            rows.append(draw(tie_rows(m)))
+        else:
+            row = random_row(rng, kind, m, base)
+            rows.append(row * rng.choice([-1.0, 1.0], m) if signed else row)
+    return np.array(rows, dtype=np.float64)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRowFsum:
+    """row_fsum returns per-row math.fsum's doubles, and its errors, on
+    nonnegative rows as the link table's, and on signed ones."""
+
+    @given(fsum_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_per_row_fsum(self, x):
+        assert sum_outcome(row_fsum, x) == sum_outcome(per_row_fsum, x)
+
+    def test_tie_rows_take_fsum(self, monkeypatch):
+        # 1 + 2**-53 ties between 1 and its successor and rounds to even,
+        # 1; (1 + 2**-52) + 2**-53 ties and rounds up to 1 + 2**-51
+        ties = [[1.0, 2.0 ** -53], [1.0 + 2.0 ** -52, 2.0 ** -53]]
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(math, "fsum", lambda row: calls.append(row) or fsum(row))
+        assert row_fsum(np.array(ties)).tolist() == [1.0, 1.0 + 2.0 ** -51]
+        assert calls == ties
+
+    def test_terms_dropped_by_the_long_double_sum_take_fsum(self, monkeypatch):
+        # summed onto 1.5 in np.longdouble the 2**-68 terms round away,
+        # leaving 1.5 + 2**-53 - 2**-62, below the tie; the exact sum is
+        # 2**-65 above it, so fsum rounds up
+        row = [1.5, 2.0 ** -53 - 2.0 ** -62] + [2.0 ** -68] * 72
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(math, "fsum", lambda row: calls.append(row) or fsum(row))
+        assert row_fsum(np.array([row])).tolist() == [1.5 + 2.0 ** -52]
+        assert calls == [row]
+
+    def test_overflow_raises_fsums_error(self):
+        x = np.array([[1.0, 2.0], [DOUBLE_MAX, DOUBLE_MAX]])
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            row_fsum(x)
+
+    def test_link_table_sinr_from_fsum_totals(self, dense_layout):
+        # the SINR as built from per-row fsum totals, bit for bit
+        table = build_link_table(DENSE, dense_layout)
+        rx = DENSE.tx_power_w * 10.0 ** (-table.pl_db / 10.0)
+        total = per_row_fsum(rx)
+        sinr = rx / (total[:, None] - rx + DENSE.noise_w)
+        assert np.array_equal(table.sinr_db, 10.0 * np.log10(sinr))
 
 
 def grid_scan_radius(params, h, pl_max_db):

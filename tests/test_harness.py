@@ -230,6 +230,23 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("line", [
+        "avg_spec_eff = 1.7976931348623157e308",
+        "rate_menu_bps = 1\nhub_bandwidth_hz = 1.7e308"])
+    def test_cells_per_hub_overflow_exit_two(self, tmp_path, capsys, line):
+        # hub_bandwidth_hz / (mean rate / avg_spec_eff) overflows to inf,
+        # whose floor once ended in an OverflowError traceback
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[scenario]\n{line}\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
+        assert "avg_spec_eff" in capsys.readouterr().err
+
+    def test_large_avg_spec_eff_still_runs(self, tmp_path):
+        ini = tmp_path / "eff.ini"
+        ini.write_text("[scenario]\navg_spec_eff = 1e300\n")
+        assert main(["run", "--config", str(ini), "--out", str(tmp_path / "r")]) == 0
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_hub_altitude_still_runs(self, tmp_path):
         ini = tmp_path / "low.ini"
