@@ -177,11 +177,11 @@ def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
     nothing, and `admit` refuses it under any finite bandwidth cap.
 
     The interference at cell i on hub j is row i's total received power
-    minus rx_ij, the total being math.fsum's exactly rounded row sum. row_fsum
-    finds every row's total at once: a long-double sum, kept where its
-    rounding-error bound certifies it rounds to fsum's double, with
-    math.fsum on the other rows. Every value, and every OverflowError, is
-    fsum's.
+    minus rx_ij, the total being math.fsum's exactly rounded row sum, so no
+    result depends on hub order. row_fsum finds every row's total at once:
+    a long-double sum, kept where its rounding-error bound certifies it
+    rounds to fsum's double, with math.fsum on the other rows. Every value,
+    and every OverflowError, is fsum's.
     """
     cells, hubs = layout.cells, layout.hubs
     if len(cells) == 0 or len(hubs) == 0:
@@ -191,8 +191,6 @@ def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
     pl = path_loss_db(cfg.channel, s, hubs[None, :, 2])
     rx = cfg.tx_power_w * 10.0 ** (-pl / 10.0)
 
-    # The interference at cell i from every hub but j is the fsum of row i
-    # minus rx_ij: one exact row sum, so no result depends on hub order.
     total = row_fsum(rx)
     sinr = rx / (total[:, None] - rx + cfg.noise_w)
 

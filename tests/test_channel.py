@@ -338,6 +338,14 @@ def fsum_matrices(draw):
     return np.array(rows, dtype=np.float64)
 
 
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """The rows math.fsum is called on, in order."""
+    calls, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: calls.append(row) or fsum(row))
+    return calls
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRowFsum:
     """row_fsum returns per-row math.fsum's doubles, and its errors, on
@@ -348,24 +356,21 @@ class TestRowFsum:
     def test_equals_per_row_fsum(self, x):
         assert sum_outcome(row_fsum, x) == sum_outcome(per_row_fsum, x)
 
-    def test_tie_rows_take_fsum(self, monkeypatch):
+    def test_tie_rows_take_fsum(self, fsum_calls):
         # 1 + 2**-53 ties between 1 and its successor and rounds to even,
         # 1; (1 + 2**-52) + 2**-53 ties and rounds up to 1 + 2**-51
         ties = [[1.0, 2.0 ** -53], [1.0 + 2.0 ** -52, 2.0 ** -53]]
-        calls, fsum = [], math.fsum
-        monkeypatch.setattr(math, "fsum", lambda row: calls.append(row) or fsum(row))
         assert row_fsum(np.array(ties)).tolist() == [1.0, 1.0 + 2.0 ** -51]
-        assert calls == ties
+        assert fsum_calls == ties
 
-    def test_terms_dropped_by_the_long_double_sum_take_fsum(self, monkeypatch):
-        # summed onto 1.5 in np.longdouble the 2**-68 terms round away,
-        # leaving 1.5 + 2**-53 - 2**-62, below the tie; the exact sum is
-        # 2**-65 above it, so fsum rounds up
+    def test_terms_dropped_by_the_long_double_sum_take_fsum(self, fsum_calls):
+        # added one by one to 1.5 in np.longdouble, the 2**-68 terms round
+        # away, leaving 1.5 + 2**-53 - 2**-62, below the tie; the exact sum
+        # is 2**-65 above it, so fsum rounds up, and the error bound must
+        # keep the row from being certified
         row = [1.5, 2.0 ** -53 - 2.0 ** -62] + [2.0 ** -68] * 72
-        calls, fsum = [], math.fsum
-        monkeypatch.setattr(math, "fsum", lambda row: calls.append(row) or fsum(row))
         assert row_fsum(np.array([row])).tolist() == [1.5 + 2.0 ** -52]
-        assert calls == [row]
+        assert fsum_calls == [row]
 
     def test_overflow_raises_fsums_error(self):
         x = np.array([[1.0, 2.0], [DOUBLE_MAX, DOUBLE_MAX]])
