@@ -235,7 +235,7 @@ class TestCli:
         "rate_menu_bps = 1\nhub_bandwidth_hz = 1.7e308"])
     def test_cells_per_hub_overflow_exit_two(self, tmp_path, capsys, line):
         # hub_bandwidth_hz / (mean rate / avg_spec_eff) overflows to inf,
-        # whose floor once ended in an OverflowError traceback
+        # which has no integer floor
         bad = tmp_path / "bad.ini"
         bad.write_text(f"[scenario]\n{line}\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
