@@ -249,15 +249,6 @@ def _links(a: AssociationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols.astype(np.min_scalar_type(a.shape[1])), flat
 
 
-def _checked_links(inst: ProblemInstance, a: AssociationMatrix):
-    _check_dims(inst, a)
-    links = _links(a)
-    # every entry but the set links is 0 (or -0.0); NaN counts as set
-    if not (a.reshape(-1).take(links[2]) == 1).all():
-        raise ValueError("association matrix entries must be 0 or 1")
-    return links
-
-
 def _rate_total(inst: ProblemInstance, rows: np.ndarray) -> int:
     """The exact sum of the rates of the cells in `rows`, repeats included;
     as a float it equals math.fsum's correctly rounded sum."""
@@ -280,13 +271,11 @@ def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityRe
     The SINR constraint only binds on set entries. Matrix entries must be 0/1;
     anything else is a caller bug and raises.
     """
-    return _verdict(inst, *_checked_links(inst, a))
-
-
-def _verdict(inst: ProblemInstance, rows: np.ndarray, cols: np.ndarray,
-             flat: np.ndarray) -> FeasibilityReport:
-    """`check_feasible` on the links of a 0/1 matrix, as `_links` gives
-    them."""
+    _check_dims(inst, a)
+    rows, cols, flat = _links(a)
+    # every entry but the set links is 0 (or -0.0); NaN counts as set
+    if not (a.reshape(-1).take(flat) == 1).all():
+        raise ValueError("association matrix entries must be 0 or 1")
     violated: list[tuple[str, str]] = []
 
     total_rate = float(_rate_total(inst, rows))
@@ -505,7 +494,8 @@ def solve_greedy(inst: ProblemInstance) -> tuple[AssociationMatrix, SolveReport]
 
     The result always satisfies the feasibility checker: step 1 enforces
     admission and single association, step 2 the per-hub caps, step 3 the
-    backhaul cap, and later steps only ever remove associations.
+    backhaul cap, and later steps only ever remove associations. The report
+    carries no verdict: judge the matrix with `check_feasible`.
     """
     ops = OpCounter()
     t0 = time.perf_counter()
@@ -519,9 +509,10 @@ def solve_greedy(inst: ProblemInstance) -> tuple[AssociationMatrix, SolveReport]
 def solve_report(inst: ProblemInstance, a: AssociationMatrix, method: str,
                  wall_time_s: float, op_count: int,
                  node_count: int | None = None) -> SolveReport:
-    """Report on a solver's association; every figure but the timing and the
-    work counters is derived from the matrix's links."""
-    rows, cols, flat = _checked_links(inst, a)
+    """Report on a solver's 0/1 association, with no feasibility verdict;
+    every figure but the timing and the work counters is derived from the
+    matrix's links."""
+    rows, cols, _ = _links(a)
     per_hub_links = np.bincount(cols, minlength=inst.n_hubs)
     return SolveReport(
         method=method,
@@ -529,7 +520,6 @@ def solve_report(inst: ProblemInstance, a: AssociationMatrix, method: str,
         n_associated=int(np.count_nonzero(np.bincount(rows))),
         per_hub_links=tuple(per_hub_links.tolist()),
         hubs_in_use=int(np.count_nonzero(per_hub_links)),
-        feasible=_verdict(inst, rows, cols, flat).ok,
         wall_time_s=wall_time_s,
         op_count=op_count,
         node_count=node_count,

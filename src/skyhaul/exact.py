@@ -75,6 +75,7 @@ def solve_exact(inst: ProblemInstance,
     an explicit stack, one frame per assigned cell, so its depth is bounded
     by memory, not by Python's recursion limit. Totals are whole bps, so
     the backhaul is judged against the cap's floor in int arithmetic.
+    The report carries no verdict: judge the matrix with `check_feasible`.
     """
     t0 = time.perf_counter()
     n, m = inst.n_cells, inst.n_hubs

@@ -2,8 +2,8 @@
 
 Pipeline: draw the cell layout, assign demands, size and place the hub
 fleet, evaluate the channel, then solve the association with the selected
-solvers. Every run re-checks the solver outputs with the independent
-feasibility checker before anything is written.
+solvers. Each solved matrix is judged once, by the independent
+feasibility checker in `solve_verified`, before anything is written.
 
 Artifacts per run directory: layout.npy, links.npy, assoc_<method>.csv,
 report_<method>.csv, summary.json and timing.json. layout.npy is the layout
@@ -153,9 +153,10 @@ def solve_verified(inst: ProblemInstance, solver: str, seed: Seed,
     """Solve `inst` with the selected methods ("greedy", "exact" or "both"),
     keyed by method.
 
-    Every association is re-judged with check_feasible against `inst`; a
+    Each association gets its one feasibility verdict here: check_feasible
+    judges it against `inst`, never trusting the solver's report, and a
     rejection raises SolutionRejectedError rather than reaching an artifact.
-    Reports are stamped with the scenario seed.
+    Reports are stamped with the verdict and the scenario seed.
     """
     solved = {}
     for method in ("greedy", "exact") if solver == "both" else (solver,):
@@ -169,6 +170,7 @@ def solve_verified(inst: ProblemInstance, solver: str, seed: Seed,
         if not verdict.ok:
             raise SolutionRejectedError(
                 f"{method} produced an infeasible association: {verdict.violated}")
+        report.feasible = verdict.ok
         report.seed = seed
         solved[method] = (a, report)
     return solved
@@ -179,7 +181,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
                  node_budget: int = DEFAULT_NODE_BUDGET) -> RunResult:
     """Full pipeline: prepare, solve with the selected methods, verify, emit.
 
-    Solver outputs are re-verified with check_feasible against the solved
+    Solver outputs are judged by `solve_verified` against the solved
     instance; a failure raises SolutionRejectedError rather than writing a
     bad artifact.
     """
@@ -206,7 +208,8 @@ def sweep_constraints(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
     Returns one row per (constraints, method) with the association size and
     sum rate, plus which full constraints the solution would violate; the
     relaxed solutions typically break the backhaul or bandwidth caps, which
-    is the point of the comparison.
+    is the point of the comparison. Only the qos-only rows are judged
+    against the full set; `solve_verified` refuses any violation in the rest.
     """
     prepared = prepare_scenario(cfg)
     full = prepared.instance
@@ -215,13 +218,13 @@ def sweep_constraints(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
         inst = full if constraints == "all" else relax_to_qos_only(full)
         solved = solve_verified(inst, solver, cfg.seed, node_budget)
         for method, (a, report) in solved.items():
-            against_full = check_feasible(full, a)
+            violated = check_feasible(full, a).violated if constraints == "qos-only" else []
             rows.append({
                 "constraints": constraints,
                 "method": method,
                 "n_associated": report.n_associated,
                 "sum_rate_bps": report.sum_rate_bps,
-                "violates_full": ";".join(sorted({c for c, _ in against_full.violated})),
+                "violates_full": ";".join(sorted({c for c, _ in violated})),
             })
     if out_dir is not None:
         out = Path(out_dir)

@@ -12,9 +12,9 @@ class SolveReport:
     n_associated: int
     per_hub_links: tuple[int, ...]
     hubs_in_use: int
-    feasible: bool
     wall_time_s: float
     op_count: int
     node_count: int | None = None  # exact solver only
+    feasible: bool | None = None  # check_feasible's verdict, filled in by the harness
     rng_algorithm: str = RNG_ALGORITHM
     seed: Seed | None = None  # scenario seed, filled in by the harness

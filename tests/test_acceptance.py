@@ -35,9 +35,10 @@ def test_criterion_1_case_study_reproduction(case_study):
     assert len(prep.layout.cells) == 28
     assert prep.fleet.n_hubs == 4
 
-    _, greedy_report = solve_greedy(prep.instance)
-    _, exact_report = solve_exact(prep.instance)
-    assert greedy_report.feasible and exact_report.feasible
+    greedy_a, greedy_report = solve_greedy(prep.instance)
+    exact_a, exact_report = solve_exact(prep.instance)
+    assert check_feasible(prep.instance, greedy_a).ok
+    assert check_feasible(prep.instance, exact_a).ok
     assert greedy_report.sum_rate_bps == exact_report.sum_rate_bps
     assert exact_report.sum_rate_bps <= cfg.backhaul_cap_bps
     assert time.perf_counter() - t0 < 5.0

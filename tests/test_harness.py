@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skyhaul import harness
-from skyhaul.association import check_feasible
+from skyhaul.association import check_feasible, solve_greedy
 from skyhaul.cli import main
 from skyhaul.config import table1_urban
+from skyhaul.exact import solve_exact
 from skyhaul.harness import (SeedSearchError, SolutionRejectedError,
                              complexity_sweep, draw_cells, draw_rates,
                              prepare_scenario, relax_to_qos_only, run_scenario,
@@ -171,6 +172,33 @@ class TestSweep:
                 for r in sweep_constraints(CASE_STUDY)}
         assert (rows[("qos-only", "exact")]["sum_rate_bps"]
                 >= rows[("all", "exact")]["sum_rate_bps"])
+
+
+class TestOneVerdict:
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        judged = []
+
+        def spy(inst, a):
+            judged.append(a)
+            return check_feasible(inst, a)
+        monkeypatch.setattr(harness, "check_feasible", spy)
+        return judged
+
+    def test_run_scenario_judges_each_solve_once(self, verdicts):
+        result = run_scenario(CASE_STUDY, solver="both")
+        assert len(verdicts) == 2
+        assert [r.feasible for r in result.reports.values()] == [True, True]
+
+    def test_sweep_judges_only_qos_only_rows_against_full(self, verdicts):
+        # one verdict per solve, plus one per qos-only row against the full set
+        sweep_constraints(CASE_STUDY, solver="both")
+        assert len(verdicts) == 6
+
+    def test_direct_solver_report_carries_no_verdict(self):
+        inst = prepare_scenario(CASE_STUDY).instance
+        assert solve_greedy(inst)[1].feasible is None
+        assert solve_exact(inst)[1].feasible is None
 
 
 class TestSeedSearch:
