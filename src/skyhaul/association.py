@@ -52,9 +52,9 @@ allows, and take the exact route above elsewhere:
   so t + slack < cap as computed holds exactly too; the exact sum is then
   below the cap, and fsum's rounding of it at most the cap. A clear hub
   also needs t < 2**1023, which keeps every partial sum fsum forms inside
-  the double range. The other hubs, at, near or over their cap, under a
-  NaN cap or with a non-finite total, get math.fsum of their links, so
-  every verdict and printed total is fsum's.
+  the double range. The other hubs, at, near or over their cap or with a
+  non-finite total, get math.fsum of their links, so every verdict and
+  printed total is fsum's.
 """
 
 import functools
@@ -95,7 +95,16 @@ class ProblemInstance:
             raise ValueError("rates length must match the link table's cell count")
         if self.hub_bandwidth_caps.shape != (m,) or self.hub_link_caps.shape != (m,):
             raise ValueError("per-hub cap vectors must match the link table's hub count")
-        # inf and NaN pass: no finite cap admits them (see `admit`)
+        # caps and bandwidths are nonnegative or inf, inf meaning no cap or a
+        # link no finite cap admits; only a bandwidth may be NaN (see `admit`)
+        for name in ("backhaul_cap_bps", "hub_bandwidth_caps"):
+            if not np.all(getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be nonnegative or inf")
+        caps = self.hub_link_caps
+        if not (np.issubdtype(caps.dtype, np.integer) and (caps >= 0).all()):
+            raise ValueError("hub_link_caps must be nonnegative integers")
+        if math.isnan(self.sinr_min_db):
+            raise ValueError("sinr_min_db must not be NaN")
         if (self.link_table.bandwidth_hz < 0).any():
             raise ValueError("bandwidth demands must be nonnegative")
         rates = self.rates
@@ -194,10 +203,10 @@ def grid_limit(cap: float, scale: int) -> int | float:
     """The largest int total t with t / scale <= cap, for `admit`.
 
     On an `exact_grid` of this scale, a total fits the cap iff it is at most
-    the limit. A non-finite cap comes back as is: every int compares with it
-    as its quotient does.
+    the limit. An infinite cap comes back as is: every int is below it, as
+    its quotient is.
     """
-    if not math.isfinite(cap):
+    if cap == math.inf:
         return cap
     # a quotient rounds to at most cap iff it lies below the midpoint of cap
     # and the next double up, or on it when cap is the even one of the two
@@ -270,8 +279,8 @@ def objective(inst: ProblemInstance, a: AssociationMatrix) -> float:
 def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityReport:
     """Evaluate the five association constraints; violations are data, not errors.
 
-    The SINR constraint only binds on set entries. Matrix entries must be 0/1;
-    anything else is a caller bug and raises.
+    The SINR constraint only binds on set entries, and a NaN SINR fails it.
+    Matrix entries must be 0/1; anything else is a caller bug and raises.
     """
     _check_dims(inst, a)
     rows, cols, flat = _links(a)
@@ -299,10 +308,10 @@ def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityRe
         clear = (total + slack < caps) & (total < 2.0**1023)
     for j in np.flatnonzero(~clear).tolist():
         used, cap = math.fsum(bw[cols == j].tolist()), float(caps[j])
-        if used > cap:
+        if not used <= cap:  # a NaN total never fits, as in `admit`
             violated.append((CONSTRAINT_BANDWIDTH, f"hub {j}: {used:.6g} Hz > cap {cap:.6g} Hz"))
 
-    bad = np.flatnonzero(inst.link_table.sinr_db.take(flat) < inst.sinr_min_db)
+    bad = np.flatnonzero(~(inst.link_table.sinr_db.take(flat) >= inst.sinr_min_db))
     if bad.size:
         first = (int(rows[bad[0]]), int(cols[bad[0]]))
         violated.append((CONSTRAINT_SINR, f"{bad.size} links below "
@@ -332,7 +341,7 @@ def greedy_step1(inst: ProblemInstance, ops: OpCounter | None = None) -> Associa
         best = np.argmax(sinr, axis=1)  # first occurrence wins ties
         best += np.arange(0, n * m, m)  # (i, best[i]) as a flat index
         a.reshape(-1)[best[sinr.take(best) >= inst.sinr_min_db]] = 1
-    ops.add(n * (max(m - 1, 0) + 1))
+    ops.add(n * m)
     return a
 
 
@@ -363,8 +372,7 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     with the cap's `grid_limit` as with that limit clipped to int64. A hub
     with an inf or NaN bandwidth does not qualify, nor does one with a unit
     wider than int64, which is at least 2**63 by itself. Such a hub takes
-    an empty prefix and probes its whole queue with `admit`, as does a hub
-    under a NaN cap.
+    an empty prefix and probes its whole queue with `admit`.
     """
     _check_dims(inst, candidates)
     ops = ops or OpCounter()
@@ -385,12 +393,9 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     reach = np.bincount(cols, weights=bw, minlength=m)
     room = inst.hub_link_caps * (reach < math.ldexp(1.0, 63 - scale.bit_length()))
     caps = inst.hub_bandwidth_caps.tolist()
-    # one grid_limit per distinct cap (a fleet's hubs usually share one); a
-    # NaN key is found by identity, as each list entry is its own float
+    # one grid_limit per distinct cap (a fleet's hubs usually share one)
     limits = {c: grid_limit(c, scale) for c in dict.fromkeys(caps)}
-    # in int64, a NaN limit becomes -1: it admits nothing either
-    clipped = {c: min(max(t, -1), 2**63 - 1) if t == t else -1 for c, t in limits.items()}
-    hub_limit = np.fromiter(map(clipped.__getitem__, caps), np.int64, m)
+    hub_limit = np.fromiter((min(limits[c], 2**63 - 1) for c in caps), np.int64, m)
     totals = units.cumsum()
     totals -= (totals - units).take(first)  # each queue's own prefix sums
     taken = (np.arange(len(cols)) - first < room.take(cols)) & (totals <= hub_limit.take(cols))
@@ -454,7 +459,7 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
     if not total > cap:
         return assoc.copy(), int(np.count_nonzero(links))
     # rate r lands the int total iff total - r <= cap iff r >= total - floor(cap)
-    floor_cap = math.floor(cap) if math.isfinite(cap) else cap
+    floor_cap = math.floor(cap)
     rates = inst.rates.take(rows)
     visit = np.argsort(links, kind="stable")
     sizes = links[visit].tolist()

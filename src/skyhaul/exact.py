@@ -86,12 +86,8 @@ def solve_exact(inst: ProblemInstance,
     tail_rates = [rates[i] for i in reversed(order)]
     suffix_sum = list(accumulate(tail_rates, initial=0))[::-1]
     suffix_gcd = list(accumulate(tail_rates, math.gcd, initial=0))[::-1]
-    # whole-bps totals fit a cap iff they fit its floor; an infinite cap
-    # fits the total demand, and -inf or NaN fits nothing
-    if math.isfinite(cap):
-        top = math.floor(cap)
-    else:
-        top = suffix_sum[0] if cap > 0 else -1
+    # whole-bps totals fit a cap iff they fit its floor, and never pass the total demand
+    top = math.floor(min(cap, suffix_sum[0]))
     bw = inst.link_table.bandwidth_hz.ravel()
     units, scale = exact_grid(bw)
     limits = [grid_limit(c, scale) for c in inst.hub_bandwidth_caps.tolist()]
@@ -99,7 +95,7 @@ def solve_exact(inst: ProblemInstance,
     # nothing (an infinite cap), None where it never fits
     for k in np.flatnonzero(~np.isfinite(bw)).tolist():
         units[k] = admit(0, units[k], limits[k % m])
-    free = [max(c, 0) for c in inst.hub_link_caps.tolist()]  # links each hub may take
+    free = inst.hub_link_caps.tolist()  # links each hub may take
     ok = (inst.link_table.sinr_db >= inst.sinr_min_db).tolist()
     # per depth: the cell, its demand and its admissible (hub, unit) pairs
     plan = [(i, rates[i], [(j, units[i * m + j]) for j in range(m) if ok[i][j]])
@@ -132,7 +128,7 @@ def solve_exact(inst: ProblemInstance,
         gain = suffix_sum[depth]
         if headroom < gain:  # the headroom, down to a multiple of the gcd
             g = suffix_gcd[depth]
-            gain = headroom // g * g if headroom > 0 else 0
+            gain = headroom // g * g
         if depth < n and running + gain > best_value:
             cell, rate, hubs = plan[depth]
             if rate > headroom:  # over the backhaul: every hub refuses
@@ -200,9 +196,8 @@ def enumerate_all(inst: ProblemInstance) -> tuple[AssociationMatrix, float]:
         a[cell_idx[picked], choice[picked]] = 1
         return a
 
-    # nothing feasible leaves every cell out, as solve_exact's first incumbent
-    best_val = -1.0
-    best_choice = np.full(n, m, dtype=np.int64)
+    # the empty candidate, the last code, is always feasible and replaces these
+    best_val, best_choice = -1.0, None
     radix = m + 1
     for start in range(0, total, _ENUM_CHUNK):
         codes = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)

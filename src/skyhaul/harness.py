@@ -261,11 +261,11 @@ def seed_search(cfg: ScenarioConfig, target_n_cells: int, max_seeds: int,
 def complexity_sweep(seed: int, sizes=(10, 25, 50, 100, 200), *,
                      n_hubs: int = 4, link_cap: int = 7) -> list[dict]:
     """Greedy operation counts across instance sizes at fixed hub count and
-    link cap, for scaling fits and plots."""
+    link cap, each solve judged by `solve_verified`, for scaling fits."""
     rows = []
     for n in sizes:
         inst = random_instance(sub_seed(seed, n), n, n_hubs, link_cap=link_cap)
-        _, report = solve_greedy(inst)
+        _, report = solve_verified(inst, "greedy", seed, DEFAULT_NODE_BUDGET)["greedy"]
         rows.append({"n_cells": n, "n_hubs": n_hubs, "link_cap": link_cap,
                      "op_count": report.op_count,
                      "sum_rate_bps": report.sum_rate_bps})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -11,6 +12,7 @@ from skyhaul.association import (_links, check_feasible, empty_association,
                                  admit, exact_grid, greedy_step1, greedy_step2,
                                  greedy_step3, grid_limit, objective,
                                  solve_greedy)
+from skyhaul.exact import solve_exact
 from skyhaul.instances import random_instance
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -37,6 +39,28 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match="nonnegative"):
             make_instance([[10.0]] * n, [[b] for b in bandwidths], [1.0] * n,
                           hub_bandwidth_cap_hz=2.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("backhaul_cap_bps", math.nan), ("backhaul_cap_bps", -1.0),
+        ("backhaul_cap_bps", -math.inf),
+        ("hub_bandwidth_caps", np.array([math.nan])),
+        ("hub_bandwidth_caps", np.array([-1.0])),
+        ("hub_link_caps", np.array([-1])), ("hub_link_caps", np.array([1.5])),
+        ("sinr_min_db", math.nan),
+    ], ids=["backhaul-nan", "backhaul-negative", "backhaul--inf", "hub-nan",
+            "hub-negative", "links-negative", "links-fractional", "sinr-nan"])
+    def test_rejects_caps_outside_their_domain(self, field, value):
+        inst = make_instance([[10.0]], [[1e6]], [30e6])
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(inst, **{field: value})
+
+    @pytest.mark.parametrize("cap", [0.0, math.inf])
+    @pytest.mark.parametrize("sinr_min_db", [-math.inf, math.inf])
+    def test_accepts_zero_and_infinite_caps(self, cap, sinr_min_db):
+        inst = make_instance([[10.0]], [[1e6]], [30e6], backhaul_cap_bps=cap,
+                             hub_bandwidth_cap_hz=cap, hub_link_cap=0,
+                             sinr_min_db=sinr_min_db)
+        assert check_feasible(inst, empty_association(1, 1)).ok
 
     def test_accepts_total_just_below_2_53(self):
         inst = make_instance([[10.0]] * 2, [[1e6]] * 2, [2.0**52, 2.0**52 - 1])
@@ -97,6 +121,23 @@ class TestCheckFeasible:
         a[1, 1] = 1
         assert check_feasible(inst, a).violated == [
             ("sinr", "1 links below -5.0 dB, first (1, 1)")]
+
+    def test_nan_sinr_is_not_admitted(self):
+        # neither solver admits the NaN link, so the checker refuses it too
+        inst = make_instance([[math.nan], [10.0]], [[1e6]] * 2, [100e6, 50e6])
+        report = check_feasible(inst, np.ones((2, 1), dtype=np.int8))
+        assert report.violated == [("sinr", "1 links below -5.0 dB, first (0, 0)")]
+        for a, _ in (solve_greedy(inst), solve_exact(inst)):
+            assert a[:, 0].tolist() == [0, 1]
+
+    @pytest.mark.parametrize("cap", [1e6, math.inf])
+    def test_nan_bandwidth_never_fits(self, cap):
+        # neither solver lets a NaN bandwidth fit any cap, so neither does the checker
+        inst = make_instance([[10.0]], [[math.nan]], [30e6], hub_bandwidth_cap_hz=cap)
+        assert check_feasible(inst, np.ones((1, 1), dtype=np.int8)).violated == [
+            ("bandwidth", f"hub 0: nan Hz > cap {cap:.6g} Hz")]
+        for a, _ in (solve_greedy(inst), solve_exact(inst)):
+            assert a.sum() == 0
 
     def test_double_association_detected(self):
         inst = make_instance([[10.0, 10.0]], [[1e6, 1e6]], [30e6])

@@ -158,17 +158,17 @@ def edge_instance(seed: int, family: str):
         return relax_to_qos_only(inst)
     if family == "inf-backhaul":
         return dataclasses.replace(inst, backhaul_cap_bps=math.inf)
-    if family == "no-backhaul":
-        return dataclasses.replace(inst, backhaul_cap_bps=-math.inf)
-    if family == "nan-hub-cap":
+    if family == "zero-backhaul":
+        return dataclasses.replace(inst, backhaul_cap_bps=0.0)
+    if family == "zero-hub-cap":
         caps = inst.hub_bandwidth_caps.copy()
-        caps[seed % inst.n_hubs] = math.nan
+        caps[seed % inst.n_hubs] = 0.0
         return dataclasses.replace(inst, hub_bandwidth_caps=caps)
     value = {"inf-bw": math.inf, "nan-bw": math.nan, "zero-bw": 0.0}[family]
     return with_bandwidth(inst, value, seed)
 
 
-FAMILIES = ["all", "qos-only", "inf-backhaul", "no-backhaul", "nan-hub-cap",
+FAMILIES = ["all", "qos-only", "inf-backhaul", "zero-backhaul", "zero-hub-cap",
             "inf-bw", "nan-bw", "zero-bw"]
 
 

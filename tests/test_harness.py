@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skyhaul import harness
-from skyhaul.association import check_feasible, solve_greedy
-from skyhaul.channel import path_loss_db
+from skyhaul.association import ProblemInstance, check_feasible, solve_greedy
+from skyhaul.channel import LinkTable, path_loss_db
 from skyhaul.cli import main
 from skyhaul.config import table1_urban
-from skyhaul.exact import solve_exact
+from skyhaul.exact import DEFAULT_NODE_BUDGET, enumerate_all, solve_exact
 from skyhaul.harness import (SeedSearchError, SolutionRejectedError,
                              complexity_sweep, draw_cells, draw_rates,
                              prepare_scenario, relax_to_qos_only, run_scenario,
-                             seed_search, sweep_constraints)
+                             seed_search, solve_verified, sweep_constraints)
 from skyhaul.report import SolveReport
 
 CASE_STUDY = table1_urban()
@@ -213,10 +213,51 @@ class TestOneVerdict:
         sweep_constraints(CASE_STUDY, solver="both")
         assert len(verdicts) == 6
 
+    def test_complexity_sweep_judges_each_solve_once(self, verdicts):
+        complexity_sweep(7, sizes=(10, 25))
+        assert len(verdicts) == 2
+
     def test_direct_solver_report_carries_no_verdict(self):
         inst = prepare_scenario(CASE_STUDY).instance
         assert solve_greedy(inst)[1].feasible is None
         assert solve_exact(inst)[1].feasible is None
+
+
+class TestInstanceDomainEdges:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_solve_verified_accepts_both_solvers(self, data):
+        # caps of 0, at an exact partial sum or half a unit either side of
+        # one, and inf; link caps 0..n; thresholds and SINRs of +-inf
+        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+
+        def table(values):
+            return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * m,
+                                               max_size=n * m))).reshape(n, m)
+
+        def edge_cap(values):
+            finite = [v for v in values if math.isfinite(v)]
+            tie = math.fsum(finite[:data.draw(st.integers(0, len(finite)))])
+            return data.draw(st.sampled_from(
+                [0.0, tie, tie + 0.5, max(tie - 0.5, 0.0), math.inf]))
+
+        sinr = table([-math.inf, -10.0, -5.0, 0.0, 10.0, math.inf, math.nan])
+        bw = table([0.0, 0.5, 1.0, 1.5, 2.0, math.inf, math.nan])
+        rates = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0]),
+                                            min_size=n, max_size=n)))
+        inst = ProblemInstance(
+            link_table=LinkTable(pl_db=np.zeros((n, m)), sinr_db=sinr,
+                                 spec_eff=np.ones((n, m)), bandwidth_hz=bw),
+            rates=rates,
+            backhaul_cap_bps=edge_cap(rates.tolist()),
+            hub_bandwidth_caps=np.array([edge_cap(bw[:, j].tolist()) for j in range(m)]),
+            hub_link_caps=np.array(data.draw(st.lists(st.integers(0, n), min_size=m,
+                                                      max_size=m))),
+            sinr_min_db=data.draw(st.sampled_from([-math.inf, -5.0, 0.0, math.inf])),
+        )
+        solved = solve_verified(inst, "both", 0, DEFAULT_NODE_BUDGET)
+        greedy, exact = solved["greedy"][1], solved["exact"][1]
+        assert greedy.sum_rate_bps <= exact.sum_rate_bps == enumerate_all(inst)[1]
 
 
 class TestSeedSearch:
