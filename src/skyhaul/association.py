@@ -426,14 +426,14 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
 
 
 def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
-                 ops: OpCounter | None = None) -> tuple[AssociationMatrix, int]:
+                 ops: OpCounter | None = None) -> tuple[AssociationMatrix, tuple]:
     """Trim associations until the total rate fits the backhaul cap.
 
     While the total rate exceeds the cap: take the hub with the fewest live
     links (ties: lowest index). Prefer dropping its smallest-rate cell whose
     removal alone lands the total within the cap; if no single cell on that
     hub can, drop the hub's smallest-rate cell and keep going. Returns the
-    trimmed matrix and the number of hubs still carrying at least one link.
+    trimmed matrix and its links as (rows, cols), in row-major order.
 
     The hub that loses a cell stays the lightest: it had the fewest links,
     and now has one fewer, while no other hub changed. So it keeps losing
@@ -455,12 +455,12 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
     cap = inst.backhaul_cap_bps
     rows, cols, flat = _links(assoc)
     total = _rate_total(inst, rows)
-    links = np.bincount(cols, minlength=m)
     if not total > cap:
-        return assoc.copy(), int(np.count_nonzero(links))
+        return assoc.copy(), (rows, cols)
     # rate r lands the int total iff total - r <= cap iff r >= total - floor(cap)
     floor_cap = math.floor(cap)
     rates = inst.rates.take(rows)
+    links = np.bincount(cols, minlength=m)
     visit = np.argsort(links, kind="stable")
     sizes = links[visit].tolist()
     # a hub carries a cell once, so its float rate total is exact
@@ -472,7 +472,6 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
     emptied_hub = np.zeros(m, dtype=bool)
     emptied_hub[visit[:emptied]] = True
     dropped = emptied_hub[cols]
-    links[emptied_hub] = 0
     if emptied < m:
         j, size = visit[emptied], sizes[emptied]
         total -= running[emptied - 1] if emptied else 0
@@ -488,12 +487,12 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
         dropped[on_hub[:trims]] = True
         dropped[on_hub[land]] = True
         trims += 1
-        links[j] -= trims
         # trim q scans the m hubs, then twice the size - q cells left, plus 1
         ops.add(trims * (m + 2 * size + 2 - trims))
     a = assoc.copy()
     a.reshape(-1)[flat[dropped]] = 0
-    return a, int(np.count_nonzero(links))
+    kept = ~dropped
+    return a, (rows[kept], cols[kept])
 
 
 def solve_greedy(inst: ProblemInstance) -> tuple[AssociationMatrix, SolveReport]:
@@ -508,18 +507,17 @@ def solve_greedy(inst: ProblemInstance) -> tuple[AssociationMatrix, SolveReport]
     t0 = time.perf_counter()
     candidates = greedy_step1(inst, ops)
     packed = greedy_step2(inst, candidates, ops)
-    a, _ = greedy_step3(inst, packed, ops)
+    a, (rows, cols) = greedy_step3(inst, packed, ops)
     wall = time.perf_counter() - t0
-    return a, solve_report(inst, a, "greedy", wall, ops.count)
+    return a, solve_report(inst, rows, cols, "greedy", wall, ops.count)
 
 
-def solve_report(inst: ProblemInstance, a: AssociationMatrix, method: str,
-                 wall_time_s: float, op_count: int,
+def solve_report(inst: ProblemInstance, rows: np.ndarray, cols: np.ndarray,
+                 method: str, wall_time_s: float, op_count: int,
                  node_count: int | None = None) -> SolveReport:
-    """Report on a solver's 0/1 association, with no feasibility verdict;
-    every figure but the timing and the work counters is derived from the
-    matrix's links."""
-    rows, cols, _ = _links(a)
+    """Report on a solver's 0/1 association, given by the rows and columns
+    of its links, with no feasibility verdict; every figure but the timing
+    and the work counters is derived from those links."""
     per_hub_links = np.bincount(cols, minlength=inst.n_hubs)
     return SolveReport(
         method=method,

@@ -1,13 +1,11 @@
-"""Scenario configuration: one frozen dataclass, a named preset, and an INI
-loader.
+"""Scenario configuration: one frozen dataclass and an INI loader.
 
 A scenario bundles everything a run needs: the ground-cell point process,
 the demand menu, the air-to-ground channel and radio front-end, hub capacity
 limits, and the master seed. ScenarioConfig is the one record of these
 values, and validates them all when built (the channel constants through
-ChannelParams). The dataclass defaults reproduce the packaged urban study;
-INI files start from a preset via the `defaults` key and then override
-individual fields.
+ChannelParams). The dataclass defaults reproduce the packaged urban study,
+and an INI file overrides individual fields of them.
 """
 
 import configparser
@@ -143,8 +141,6 @@ def table1_urban() -> ScenarioConfig:
     return ScenarioConfig()
 
 
-PRESETS = {"table1-urban": table1_urban}
-
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
@@ -166,9 +162,8 @@ def _parse_field(key: str, raw: str):
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read a scenario from an INI file.
 
-    The file must contain a [scenario] section. An optional `defaults` key
-    names a preset to start from; every other key overrides one dataclass
-    field. Unknown keys and malformed values raise ConfigError.
+    The file must contain a [scenario] section, each of whose keys overrides
+    one dataclass field. Unknown keys and malformed values raise ConfigError.
     """
     parser = configparser.ConfigParser()
     loaded = parser.read(path)
@@ -177,19 +172,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if "scenario" not in parser:
         raise ConfigError("config file is missing the [scenario] section")
     section = parser["scenario"]
-
-    base: dict = {}
-    preset_name = section.get("defaults", fallback=None)
-    if preset_name is not None:
-        preset_name = preset_name.strip()
-        if preset_name not in PRESETS:
-            known = ", ".join(sorted(PRESETS))
-            raise ConfigError(f"unknown preset {preset_name!r} (known: {known})")
-        base = dataclasses.asdict(PRESETS[preset_name]())
-
-    overrides = {key: _parse_field(key, section[key])
-                 for key in section if key != "defaults"}
+    overrides = {key: _parse_field(key, section[key]) for key in section}
     try:
-        return ScenarioConfig(**{**base, **overrides})
+        return ScenarioConfig(**overrides)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc

@@ -107,12 +107,14 @@ def solve_exact(inst: ProblemInstance,
     best = assign[:]
     best_value = 0
 
-    def incumbent() -> AssociationMatrix:
+    def incumbent() -> tuple[AssociationMatrix, np.ndarray, np.ndarray]:
+        """The best association so far, and its links' rows and columns."""
+        hubs = np.array(best, dtype=np.intp)
+        rows = np.flatnonzero(hubs >= 0)
+        cols = hubs[rows]
         a = empty_association(n, m)
-        for i, j in enumerate(best):
-            if j >= 0:
-                a[i, j] = 1
-        return a
+        a[rows, cols] = 1
+        return a, rows, cols
 
     # one frame per assigned cell: (the iterator over its hub list, which
     # holds the scan's position, its depth, the running total before it, its
@@ -123,7 +125,7 @@ def solve_exact(inst: ProblemInstance,
     while True:
         # one pass per depth; "leave the cell unassigned" is the next pass
         if nodes >= node_budget:
-            raise NodeBudgetExceeded(nodes, incumbent(), best_value)
+            raise NodeBudgetExceeded(nodes, incumbent()[0], best_value)
         headroom = top - running
         gain = suffix_sum[depth]
         if headroom < gain:  # the headroom, down to a multiple of the gcd
@@ -156,10 +158,10 @@ def solve_exact(inst: ProblemInstance,
                 break
             nodes += 1
         depth += 1
+    a, rows, cols = incumbent()
     if nodes >= node_budget:
-        raise NodeBudgetExceeded(nodes, incumbent(), best_value)
-    a = incumbent()
-    return a, solve_report(inst, a, "exact", time.perf_counter() - t0, nodes, nodes)
+        raise NodeBudgetExceeded(nodes, a, best_value)
+    return a, solve_report(inst, rows, cols, "exact", time.perf_counter() - t0, nodes, nodes)
 
 
 def enumerate_all(inst: ProblemInstance) -> tuple[AssociationMatrix, float]:
@@ -171,7 +173,8 @@ def enumerate_all(inst: ProblemInstance) -> tuple[AssociationMatrix, float]:
     (whole bps below 2**53), so the backhaul test is the checker's verdict;
     a hub's bandwidth sum may round, though for nonnegative terms by far
     less than a relative 1e-9, so a candidate whose sum lands within that
-    band of a hub's cap gets check_feasible's verdict instead.
+    band of the cap of a hub it picks gets check_feasible's verdict instead
+    (a hub it leaves empty sums to exactly 0).
     The best feasible candidate is returned with its objective recomputed by
     the shared objective routine so comparisons against the search are exact.
     """
@@ -216,7 +219,8 @@ def enumerate_all(inst: ProblemInstance) -> tuple[AssociationMatrix, float]:
             cap_j = float(inst.hub_bandwidth_caps[j])
             feasible &= used <= cap_j
             if math.isfinite(cap_j):
-                band |= np.abs(used - cap_j) <= 1e-9 * max(1.0, abs(cap_j))
+                near = np.abs(used - cap_j) <= 1e-9 * max(1.0, cap_j)
+                band |= near & picked.any(axis=1)
         for k in np.flatnonzero(band & admitted):
             feasible[k] = check_feasible(inst, matrix(digits[k])).ok
         if feasible.any():

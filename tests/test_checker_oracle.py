@@ -87,7 +87,7 @@ def assert_matches_reference(inst, a):
     assert verdict.ok == want_ok
     assert verdict.violated == want_violated
 
-    report = solve_report(inst, a, "greedy", 0.0, 0)
+    report = solve_report(inst, *np.nonzero(a), "greedy", 0.0, 0)
     assert report.sum_rate_bps == math.fsum((inst.rates * a.sum(axis=1)).tolist())
     assert report.n_associated == int((a.sum(axis=1) > 0).sum())
     assert report.per_hub_links == tuple(int(k) for k in a.sum(axis=0))

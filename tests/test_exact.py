@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import make_instance
+from skyhaul import exact
 from skyhaul.association import check_feasible, objective, solve_greedy
 from skyhaul.config import ScenarioConfig
 from skyhaul.exact import (NodeBudgetExceeded, SizeGuardError, enumerate_all,
@@ -82,6 +84,23 @@ class TestEnumerateAll:
         a, val = enumerate_all(inst)
         assert val == 120e6 and check_feasible(inst, a).ok
         assert solve_exact(inst)[1].sum_rate_bps == 120e6
+
+    def test_zero_cap_on_an_empty_hub_adds_no_checker_calls(self, monkeypatch):
+        # a hub that a candidate leaves empty sums to exactly 0, so a 0 cap
+        # on hub 0 must not put every such candidate in the near-cap band
+        calls = []
+        monkeypatch.setattr(exact, "check_feasible",
+                            lambda inst, a: calls.append(1) or check_feasible(inst, a))
+        base = random_instance(1, n_cells=8, n_hubs=3, tight=True)
+        enumerate_all(base)
+        assert len(calls) == 162
+        caps = base.hub_bandwidth_caps.copy()
+        caps[0] = 0.0
+        inst = dataclasses.replace(base, hub_bandwidth_caps=caps)
+        calls.clear()
+        _, val = enumerate_all(inst)
+        assert len(calls) <= 162
+        assert val == solve_exact(inst)[1].sum_rate_bps
 
     def test_guard_refuses_oversized_instances(self):
         inst = random_instance(1, n_cells=30, n_hubs=4)

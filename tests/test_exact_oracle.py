@@ -2,10 +2,12 @@
 replaced.
 
 `reference_exact` is that recursive `solve_exact`, unedited apart from its
-name: one nested `dfs` per assigned cell, each probe judged by `admit`, the
-backhaul compared as a float. Matrix, node count, sum rate and any
-NodeBudgetExceeded (count, incumbent, value) must match exactly, at several
-budgets, on edge instances and on placed seeds of the default preset.
+name and its report call, which now passes the matrix's links: one nested
+`dfs` per assigned cell, each probe judged by `admit`, the backhaul compared
+as a float. Matrix, node count, sum rate and any NodeBudgetExceeded (count,
+incumbent, value) must match exactly, at several budgets, on edge instances
+and on placed seeds of the default preset. Each solver's report must also
+be the one `solve_report` builds from its matrix's links.
 """
 
 import dataclasses
@@ -18,13 +20,14 @@ import pytest
 
 from skyhaul.association import (AssociationMatrix, ProblemInstance, admit,
                                  empty_association, exact_grid, grid_limit,
-                                 solve_report)
+                                 solve_greedy, solve_report)
 from skyhaul.config import ScenarioConfig
 from skyhaul.deployment import PlacementError
 from skyhaul.exact import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, solve_exact
 from skyhaul.harness import prepare_scenario, relax_to_qos_only
 from skyhaul.instances import random_instance
 from skyhaul.report import SolveReport
+from test_greedy_oracle import oracle_instance
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -117,7 +120,8 @@ def reference_exact(inst: ProblemInstance,
     if nodes >= node_budget:
         raise NodeBudgetExceeded(nodes, incumbent(), best_value)
     a = incumbent()
-    return a, solve_report(inst, a, "exact", time.perf_counter() - t0, nodes, nodes)
+    return a, solve_report(inst, *np.nonzero(a), "exact", time.perf_counter() - t0,
+                           nodes, nodes)
 
 
 def solve_or_budget(solve, inst, node_budget):
@@ -197,3 +201,32 @@ def test_matches_reference_on_placed_seeds():
         assert_matches_reference(inst)
         assert_matches_reference(relax_to_qos_only(inst), budgets=(7, 5_000))
     assert placed >= 40
+
+
+def assert_report_from_matrix(inst, solve, *args):
+    a, report = solve(inst, *args)
+    assert report == solve_report(inst, *np.nonzero(a), report.method,
+                                  report.wall_time_s, report.op_count,
+                                  report.node_count)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reports_come_from_the_matrix_on_edge_instances(family):
+    for seed in range(150):
+        inst = edge_instance(seed, family)
+        for solve in (solve_greedy, solve_exact):
+            assert_report_from_matrix(inst, solve)
+
+
+def test_exact_report_comes_from_the_matrix_on_greedy_oracle_instances():
+    # the greedy's is checked in test_greedy_oracle; the search runs where it
+    # finishes within 10,000 nodes (257 of the 300)
+    finished = 0
+    for seed in range(300):
+        inst = oracle_instance(seed)
+        try:
+            assert_report_from_matrix(inst, solve_exact, 10_000)
+        except NodeBudgetExceeded:
+            continue
+        finished += 1
+    assert finished >= 250

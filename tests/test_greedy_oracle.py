@@ -3,7 +3,8 @@
 The reference transcribes the greedy as the paper states it: a per-cell
 argmax, a per-hub queue probed with math.fsum over the accepted bandwidths
 plus the candidate, and a trim that picks the lightest live hub afresh
-before every removal. Matrix, hubs in use and op count must match exactly.
+before every removal. Matrix, hubs in use and op count must match exactly,
+and step 3's links and the report must be those of the matrix.
 """
 
 import dataclasses
@@ -15,7 +16,8 @@ import pytest
 from _builders import make_instance
 from skyhaul import association
 from skyhaul.association import (exact_grid, greedy_step1, greedy_step2,
-                                 greedy_step3, grid_limit, solve_greedy)
+                                 greedy_step3, grid_limit, solve_greedy,
+                                 solve_report)
 from skyhaul.harness import relax_to_qos_only
 from skyhaul.instances import RATE_MENU_BPS, random_instance
 
@@ -118,9 +120,15 @@ def assert_matches_reference(inst):
     assert np.array_equal(a, want)
     assert report.hubs_in_use == want_hubs
     assert report.op_count == want_ops
-    # step 3's own count of live hubs agrees too
+    # step 3 hands over the links of its own matrix, in np.nonzero's order
     packed = greedy_step2(inst, greedy_step1(inst))
-    assert greedy_step3(inst, packed)[1] == want_hubs
+    trimmed, (rows, cols) = greedy_step3(inst, packed)
+    want_rows, want_cols = np.nonzero(trimmed)
+    assert np.array_equal(trimmed, want)
+    assert rows.tolist() == want_rows.tolist() and cols.tolist() == want_cols.tolist()
+    # and the report built from those links is the one its matrix gives
+    assert report == solve_report(inst, want_rows, want_cols, "greedy",
+                                  report.wall_time_s, want_ops)
 
 
 def test_matches_reference_on_small_instances():

@@ -314,8 +314,9 @@ class TestCli:
 
     def test_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.ini"
-        bad.write_text("[scenario]\nnope = 1\n")
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        for line in ("nope = 1", "defaults = table1-urban"):
+            bad.write_text(f"[scenario]\n{line}\n")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("line", [
         "area_side_m = nan", "cell_min_sep_m = 0", "cell_min_sep_m = 4000",
