@@ -99,16 +99,24 @@ class TestLoadConfig:
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "scenario.ini"
-        for line in ("warp_factor = 9", "defaults = table1-urban"):
-            path.write_text(f"[scenario]\n{line}\n")
-            with pytest.raises(ConfigError, match="unknown scenario key"):
-                load_config(path)
+        path.write_text("[scenario]\nwarp_factor = 9\n")
+        with pytest.raises(ConfigError, match="unknown scenario key"):
+            load_config(path)
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "scenario.ini"
         path.write_text("[scenario]\nseed = banana\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_unknown_preset(self, tmp_path):
+        # There is no preset key: `defaults` is refused as an unknown key,
+        # whether or not it names the former preset.
+        path = tmp_path / "scenario.ini"
+        for name in ("mars-canyon", "table1-urban"):
+            path.write_text(f"[scenario]\ndefaults = {name}\n")
+            with pytest.raises(ConfigError, match="unknown scenario key"):
+                load_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
