@@ -127,8 +127,12 @@ def _random_lines(seed: int):
 
 def _greedy_scale_lines(seed: int):
     inst = random_instance(seed, 3000, 40, tight=True)
-    candidates = greedy_step1(inst)
-    packed = greedy_step2(inst, candidates)
+    requests = greedy_step1(inst)
+    # the matrix of step 1's requests: cell i on hub requests[i] - 1
+    candidates = np.zeros((inst.n_cells, inst.n_hubs), dtype=np.int8)
+    cells = requests.nonzero()[0]
+    candidates[cells, requests[cells] - 1] = 1
+    packed, _ = greedy_step2(inst, requests)
     a, report = sk.solve_greedy(inst)
     verdicts = {}
     for stage, matrix in (("step1", candidates), ("step2", packed), ("final", a)):

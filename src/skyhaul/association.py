@@ -7,13 +7,17 @@ independently, highest demanded rate first, under its bandwidth and link caps.
 Step 3 trims associations from the lightest-loaded hubs until the global
 backhaul rate cap holds.
 
-Everything after step 1 works on the set links of a matrix, not on the
-dense n x m matrix: one nonzero pass over the raveled `a != 0` gives their
-flat row-major indices, and a divmod by the hub count their rows and
-columns, in the order `np.nonzero` gives. Every gather from a table is a 1-D
-`take` at those flat indices (at a row's index for per-cell data), every
-total, count and verdict is computed from the links, and each step builds
-or edits its output matrix once, through flat indices.
+Each step hands the next what it already holds, so no step scans a dense
+n x m matrix back into links. Step 1 returns the per-cell request vector
+(hub index + 1, or 0 for no request). Step 2 takes its links from that
+vector, and steps 2 and 3 each return their matrix with its links as
+(rows, cols) in the row-major order `np.nonzero` gives. Step 3 starts from
+step 2's links, and the report from step 3's. Only `check_feasible` and
+`objective`, which take a bare matrix, find its links themselves, in one
+nonzero pass over the raveled `a != 0`. Every gather from a table is a 1-D
+`take` at flat row-major indices (at a row's index for per-cell data),
+every total, count and verdict is computed from the links, and each step
+builds or edits its output matrix once.
 
 Demands are whole bps with a total below 2**53, so the solvers keep rate
 totals as exact Python ints. Every partial sum of such demands is also exact
@@ -329,37 +333,43 @@ def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityRe
     return FeasibilityReport(ok=not violated, violated=violated)
 
 
-def greedy_step1(inst: ProblemInstance, ops: OpCounter | None = None) -> AssociationMatrix:
-    """Candidate requests: each cell marks its single best-SINR hub, provided
-    that SINR clears the admission threshold; ties go to the lowest hub index.
+def greedy_step1(inst: ProblemInstance, ops: OpCounter | None = None) -> np.ndarray:
+    """Candidate requests: each cell requests its single best-SINR hub,
+    provided that SINR clears the admission threshold; ties go to the lowest
+    hub index.
+
+    Returns the request vector: requests[i] = j + 1 when cell i requests hub
+    j, and 0 when no hub admits it, so `np.count_nonzero` is the admitted
+    count. Its dtype is the smallest unsigned one that holds the hub count.
     """
     ops = ops or OpCounter()
     n, m = inst.n_cells, inst.n_hubs
-    a = empty_association(n, m)
+    requests = np.zeros(n, dtype=np.min_scalar_type(m))
     if n:
         sinr = inst.link_table.sinr_db
         best = np.argmax(sinr, axis=1)  # first occurrence wins ties
-        best += np.arange(0, n * m, m)  # (i, best[i]) as a flat index
-        a.reshape(-1)[best[sinr.take(best) >= inst.sinr_min_db]] = 1
+        admitted = sinr.take(best + np.arange(0, n * m, m)) >= inst.sinr_min_db
+        requests[admitted] = best[admitted] + 1
     ops.add(n * m)
-    return a
+    return requests
 
 
-def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
-                 ops: OpCounter | None = None) -> AssociationMatrix:
-    """Per-hub packing of the candidate requests.
+def greedy_step2(inst: ProblemInstance, requests: np.ndarray,
+                 ops: OpCounter | None = None) -> tuple[AssociationMatrix, tuple]:
+    """Per-hub packing of step 1's requests.
 
     Each hub, independently: repeatedly take the remaining candidate with the
     highest demanded rate (ties: lower bandwidth demand, then lower cell
     index). Accept it if the hub still has a free link and the bandwidth cap
     holds; a candidate rejected on bandwidth is dropped and the scan
-    continues. Stops when links run out or no candidates remain.
+    continues. Stops when links run out or no candidates remain. Returns the
+    packed matrix and its links as (rows, cols), in row-major order.
 
-    The candidates' links are queued by hub once, with their bandwidths as
-    units on one `exact_grid`. Until a probe is refused, a queue's running
-    totals are its prefix sums, so a hub accepts its longest fitting prefix,
-    at most its link cap long; `admit` then probes the rest of the queue one
-    by one on exact Python ints.
+    The requested links, read straight off the request vector, are queued by
+    hub once, with their bandwidths as units on one `exact_grid`. Until a
+    probe is refused, a queue's running totals are its prefix sums, so a hub
+    accepts its longest fitting prefix, at most its link cap long; `admit`
+    then probes the rest of the queue one by one on exact Python ints.
 
     The prefixes come from one int64 cumsum over all queues. numpy's integer
     cumsum wraps modulo 2**64, so the difference of two of its entries is a
@@ -374,15 +384,18 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     wider than int64, which is at least 2**63 by itself. Such a hub takes
     an empty prefix and probes its whole queue with `admit`.
     """
-    _check_dims(inst, candidates)
     ops = ops or OpCounter()
     m = inst.n_hubs
-    rows, cols, flat = _links(candidates)
+    # one link per requesting cell, in row-major order; the columns keep the
+    # vector's narrow dtype, so that sorts keyed on them run as radix sorts
+    rows = requests.nonzero()[0]
+    link_cols = requests.take(rows) - 1
+    flat = rows * m + link_cols  # intp rows: the sum is intp, never narrow
     bw = inst.link_table.bandwidth_hz.take(flat)
     # grouped by hub, then by (-rate, bandwidth); lexsort is stable, so the
     # ascending rows of the row-major links break the remaining ties
-    order = np.lexsort((bw, -inst.rates.take(rows), cols))
-    bw, cols = bw[order], cols[order]
+    order = np.lexsort((bw, -inst.rates.take(rows), link_cols))
+    bw, cols = bw[order], link_cols[order]
     # one grid for every queue: a common scale keeps each hub's total exact
     units, scale = _int64_grid(bw)
     counts = np.bincount(cols, minlength=m)
@@ -420,20 +433,24 @@ def greedy_step2(inst: ProblemInstance, candidates: AssociationMatrix,
     # probe k scans the count - k remaining candidates, plus 2
     ops.add(sum(p * (c + 2) - p * (p - 1) // 2 for p, c in zip(probes, counts)))
     taken[probed] = True
+    kept = np.empty_like(taken)
+    kept[order] = taken
+    kept = kept.nonzero()[0]  # the accepted links, back in row-major order
     a = empty_association(inst.n_cells, m)
-    a.reshape(-1)[flat[order[taken]]] = 1
-    return a
+    a.reshape(-1)[flat.take(kept)] = 1
+    return a, (rows.take(kept), link_cols.take(kept))
 
 
-def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
+def greedy_step3(inst: ProblemInstance, packed: AssociationMatrix, links: tuple,
                  ops: OpCounter | None = None) -> tuple[AssociationMatrix, tuple]:
-    """Trim associations until the total rate fits the backhaul cap.
+    """Trim step 2's associations until the total rate fits the backhaul cap.
 
     While the total rate exceeds the cap: take the hub with the fewest live
     links (ties: lowest index). Prefer dropping its smallest-rate cell whose
     removal alone lands the total within the cap; if no single cell on that
-    hub can, drop the hub's smallest-rate cell and keep going. Returns the
-    trimmed matrix and its links as (rows, cols), in row-major order.
+    hub can, drop the hub's smallest-rate cell and keep going. `links` are
+    the packed matrix's links as (rows, cols) in row-major order, as step 2
+    returns them; the trimmed matrix comes back with its links in that form.
 
     The hub that loses a cell stays the lightest: it had the fewest links,
     and now has one fewer, while no other hub changed. So it keeps losing
@@ -449,20 +466,20 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
     then the smallest remaining cell that lands the total: two searchsorted
     calls.
     """
-    _check_dims(inst, assoc)
+    _check_dims(inst, packed)
     ops = ops or OpCounter()
     m = inst.n_hubs
     cap = inst.backhaul_cap_bps
-    rows, cols, flat = _links(assoc)
+    rows, cols = links
     total = _rate_total(inst, rows)
     if not total > cap:
-        return assoc.copy(), (rows, cols)
+        return packed.copy(), (rows, cols)
     # rate r lands the int total iff total - r <= cap iff r >= total - floor(cap)
     floor_cap = math.floor(cap)
     rates = inst.rates.take(rows)
-    links = np.bincount(cols, minlength=m)
-    visit = np.argsort(links, kind="stable")
-    sizes = links[visit].tolist()
+    counts = np.bincount(cols, minlength=m)
+    visit = np.argsort(counts, kind="stable")
+    sizes = counts[visit].tolist()
     # a hub carries a cell once, so its float rate total is exact
     hub_totals = np.bincount(cols, weights=rates, minlength=m)[visit].tolist()
     running = list(accumulate(map(int, hub_totals)))
@@ -489,10 +506,12 @@ def greedy_step3(inst: ProblemInstance, assoc: AssociationMatrix,
         trims += 1
         # trim q scans the m hubs, then twice the size - q cells left, plus 1
         ops.add(trims * (m + 2 * size + 2 - trims))
-    a = assoc.copy()
-    a.reshape(-1)[flat[dropped]] = 0
-    kept = ~dropped
-    return a, (rows[kept], cols[kept])
+    a = packed.copy()
+    # index arrays, not boolean masks: these gathers then cost under half
+    gone = dropped.nonzero()[0]
+    a[rows.take(gone), cols.take(gone)] = 0
+    kept = (~dropped).nonzero()[0]
+    return a, (rows.take(kept), cols.take(kept))
 
 
 def solve_greedy(inst: ProblemInstance) -> tuple[AssociationMatrix, SolveReport]:
@@ -505,9 +524,9 @@ def solve_greedy(inst: ProblemInstance) -> tuple[AssociationMatrix, SolveReport]
     """
     ops = OpCounter()
     t0 = time.perf_counter()
-    candidates = greedy_step1(inst, ops)
-    packed = greedy_step2(inst, candidates, ops)
-    a, (rows, cols) = greedy_step3(inst, packed, ops)
+    requests = greedy_step1(inst, ops)
+    packed, links = greedy_step2(inst, requests, ops)
+    a, (rows, cols) = greedy_step3(inst, packed, links, ops)
     wall = time.perf_counter() - t0
     return a, solve_report(inst, rows, cols, "greedy", wall, ops.count)
 

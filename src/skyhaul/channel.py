@@ -28,6 +28,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .deployment import Layout
 
 LIGHT_SPEED = 2.998e8  # m/s
+
+# Building a link table and solving it holds about 100 bytes per (cell, hub)
+# pair (measured: 121 MB to prepare the 3,892 x 556 table of an 8 km dense
+# field), so runs refuse a table of more pairs, about 1 GB, before building it
+MAX_LINK_PAIRS = 10**7
+
 # coverage_radius doubles its bracket from max(h, 1) at most this many times
 BRACKET_DOUBLINGS = 60
 # and judges the midpoints of the next 6 bisection levels in one call

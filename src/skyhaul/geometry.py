@@ -7,6 +7,10 @@ homogeneous Poisson parent process thinned by a type-I hard-core rule
 thinning visits only pairs that an x-sorted sweep puts within the radius
 along x, so it never holds an n x n array. Point sets are (n, 2) float
 arrays of (x, y) rows.
+
+A draw holds about 100 bytes per parent point and 50 per candidate pair, so
+both counts are capped: a draw past MAX_POINTS or MAX_CANDIDATE_PAIRS raises
+DrawSizeError before it allocates them, at most about 100 MB and 500 MB.
 """
 
 from dataclasses import dataclass
@@ -14,6 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .units import Seed, make_rng
+
+MAX_POINTS = 10**6
+MAX_CANDIDATE_PAIRS = 10**7
+
+
+class DrawSizeError(ValueError):
+    """A hard-core draw would hold more points or candidate pairs than its cap."""
 
 
 @dataclass(frozen=True)
@@ -42,9 +53,12 @@ def poisson_points(spec: HardCoreSpec, seed: Seed) -> np.ndarray:
 
     The point count is Poisson with mean intensity * area_side^2 and the
     points are i.i.d. uniform. Same (spec, seed) always gives the same array.
+    A count above MAX_POINTS raises DrawSizeError before any point is drawn.
     """
     rng = make_rng(seed)
     n = int(rng.poisson(spec.intensity * spec.area_side**2))
+    if n > MAX_POINTS:
+        raise DrawSizeError(f"{n} parent points, above the cap of {MAX_POINTS}")
     xs = rng.uniform(0.0, spec.area_side, n)
     ys = rng.uniform(0.0, spec.area_side, n)
     return np.column_stack((xs, ys))
@@ -66,7 +80,8 @@ def hardcore_thin(points: np.ndarray, min_separation: float) -> np.ndarray:
     d2 = dx*dx + dy*dy < s*s on the same doubles as an all-pairs
     comparison, so the kept set is identical to it. Time and memory are
     O(n log n + candidate pairs), which nears the all-pairs n^2 / 2 only
-    when s nears the spread of x.
+    when s nears the spread of x; more than MAX_CANDIDATE_PAIRS candidate
+    pairs raise DrawSizeError before the pairs are built.
     """
     n = len(points)
     if n < 2:
@@ -76,6 +91,10 @@ def hardcore_thin(points: np.ndarray, min_separation: float) -> np.ndarray:
     xs = sorted_pts[:, 0]
     ends = np.searchsorted(xs, xs + min_separation * (1 + 1e-9), side="right")
     counts = ends - np.arange(1, n + 1)  # later points in each window
+    pairs = int(counts.sum())
+    if pairs > MAX_CANDIDATE_PAIRS:
+        raise DrawSizeError(f"{pairs} candidate pairs within {min_separation!r} m, "
+                            f"above the cap of {MAX_CANDIDATE_PAIRS}")
     # candidate pairs (i, j > i) in sorted positions, window by window
     i = np.repeat(np.arange(n), counts)
     j = np.arange(len(i)) + np.repeat(ends - np.cumsum(counts), counts)

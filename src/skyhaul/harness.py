@@ -27,13 +27,13 @@ import numpy as np
 
 from .association import (AssociationMatrix, ProblemInstance, check_feasible,
                           solve_greedy)
-from .channel import LinkTable, build_link_table, coverage_radius
+from .channel import MAX_LINK_PAIRS, LinkTable, build_link_table, coverage_radius
 from .config import (CONSTRAINT_CHOICES, SOLVER_CHOICES, ConfigError,
                      ScenarioConfig)
 from .deployment import (FleetPlan, Layout, cells_per_hub, fleet_size,
                          mean_bandwidth_hz, place_fleet)
 from .exact import DEFAULT_NODE_BUDGET, solve_exact
-from .geometry import HardCoreSpec, matern_type1
+from .geometry import DrawSizeError, HardCoreSpec, matern_type1
 from .instances import random_instance
 from .report import SolveReport
 from .units import RNG_ALGORITHM, Seed, make_rng, sub_seed
@@ -70,10 +70,21 @@ class RunResult:
     reports: dict[str, SolveReport]
 
 
+def _too_large(cfg: ScenarioConfig, draw: str, exc: DrawSizeError) -> ConfigError:
+    """A draw past geometry's size caps, as a config error naming the
+    fields that set its parent process."""
+    return ConfigError(f"{draw} at cell_intensity_per_m2 = {cfg.cell_intensity_per_m2!r} "
+                       f"on area_side_m = {cfg.area_side_m!r} is too large: {exc}")
+
+
 def draw_cells(cfg: ScenarioConfig) -> np.ndarray:
     spec = HardCoreSpec(cfg.area_side_m, cfg.cell_intensity_per_m2,
                         cfg.cell_min_sep_m)
-    return matern_type1(spec, sub_seed(cfg.seed, _STREAM_CELLS))
+    try:
+        return matern_type1(spec, sub_seed(cfg.seed, _STREAM_CELLS))
+    except DrawSizeError as exc:
+        raise _too_large(cfg, f"the cell draw with cell_min_sep_m = "
+                              f"{cfg.cell_min_sep_m!r}", exc) from exc
 
 
 def draw_rates(cfg: ScenarioConfig, n_cells: int) -> np.ndarray:
@@ -114,8 +125,17 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
                           f"with hub_bandwidth_hz = {cfg.hub_bandwidth_hz!r} and "
                           f"avg_spec_eff = {cfg.avg_spec_eff!r}") from exc
     n_hubs = fleet_size(len(cells), cfg.hub_link_cap, per_hub_cap)
+    if len(cells) * n_hubs > MAX_LINK_PAIRS:
+        raise ConfigError(f"the link table of {len(cells)} cells x {n_hubs} hubs is "
+                          f"above the cap of {MAX_LINK_PAIRS} pairs; fewer cells "
+                          f"(cell_intensity_per_m2, area_side_m) or a larger "
+                          f"hub_link_cap makes it smaller")
     hub_min_sep = coverage_radius(cfg.channel, cfg.hub_altitude_m, cfg.pl_max_db)
-    hubs = place_fleet(cfg, n_hubs, hub_min_sep, sub_seed(cfg.seed, _STREAM_HUBS))
+    try:
+        hubs = place_fleet(cfg, n_hubs, hub_min_sep, sub_seed(cfg.seed, _STREAM_HUBS))
+    except DrawSizeError as exc:
+        raise _too_large(cfg, f"the hub draw at the coverage radius {hub_min_sep!r} m "
+                              f"of pl_max_db = {cfg.pl_max_db!r}", exc) from exc
     layout = Layout(cells=cells, rates=rates, hubs=hubs)
 
     fleet = FleetPlan(n_hubs=n_hubs, per_hub_cell_cap=per_hub_cap,
@@ -252,7 +272,11 @@ def seed_search(cfg: ScenarioConfig, target_n_cells: int, max_seeds: int,
     spec = HardCoreSpec(cfg.area_side_m, cfg.cell_intensity_per_m2,
                         cfg.cell_min_sep_m)
     for seed in range(start, start + max_seeds):
-        if len(matern_type1(spec, sub_seed(seed, _STREAM_CELLS))) == target_n_cells:
+        try:
+            cells = matern_type1(spec, sub_seed(seed, _STREAM_CELLS))
+        except DrawSizeError as exc:
+            raise _too_large(cfg, "the cell draw", exc) from exc
+        if len(cells) == target_n_cells:
             return seed
     raise SeedSearchError(
         f"no seed in [{start}, {start + max_seeds}) yields {target_n_cells} cells")

@@ -249,36 +249,33 @@ class TestExactBandwidthVerdict:
 
 
 class TestStep1:
+    # requests[i] is cell i's requested hub + 1, or 0 for no request
     def test_unservable_cell_left_out(self):
         inst = make_instance([[-6.0, -7.0]], [[1e6, 1e6]], [30e6])
-        assert greedy_step1(inst).sum() == 0
+        assert greedy_step1(inst).tolist() == [0]
 
     def test_argmax_hub_selected(self):
         inst = make_instance([[3.0, 7.0, 5.0]], [[1e6] * 3], [30e6])
-        a = greedy_step1(inst)
-        assert a[0].tolist() == [0, 1, 0]
+        assert greedy_step1(inst).tolist() == [2]
 
     def test_tie_goes_to_lowest_index(self):
         inst = make_instance([[4.0, 4.0]], [[1e6, 1e6]], [30e6])
-        a = greedy_step1(inst)
-        assert a[0].tolist() == [1, 0]
+        assert greedy_step1(inst).tolist() == [1]
 
     def test_threshold_is_inclusive(self):
         inst = make_instance([[-5.0]], [[1e6]], [30e6])
-        assert greedy_step1(inst).sum() == 1
+        assert greedy_step1(inst).tolist() == [1]
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=100, deadline=None)
     def test_rows_have_at_most_one_mark_at_row_max(self, seed):
         inst = random_instance(seed, n_cells=12, n_hubs=4)
-        a = greedy_step1(inst)
-        for i in range(inst.n_cells):
-            row = a[i]
-            assert row.sum() <= 1
-            if row.sum() == 1:
-                j = int(np.argmax(row))
-                assert inst.link_table.sinr_db[i, j] == inst.link_table.sinr_db[i].max()
-                assert inst.link_table.sinr_db[i, j] >= inst.sinr_min_db
+        requests = greedy_step1(inst)
+        assert requests.shape == (inst.n_cells,)  # one request at most per cell
+        for i in np.flatnonzero(requests):
+            j = int(requests[i]) - 1
+            assert inst.link_table.sinr_db[i, j] == inst.link_table.sinr_db[i].max()
+            assert inst.link_table.sinr_db[i, j] >= inst.sinr_min_db
 
 
 class TestStep2:
@@ -290,28 +287,25 @@ class TestStep2:
         bw = [[20e6], [25e6], [10e6]]
         inst = make_instance(sinr, bw, [150e6, 150e6, 30e6],
                              hub_bandwidth_cap_hz=40e6, hub_link_cap=2)
-        candidates = np.ones((3, 1), dtype=np.int8)
-        a = greedy_step2(inst, candidates)
+        a, _ = greedy_step2(inst, np.ones(3, dtype=np.uint8))
         assert a[:, 0].tolist() == [1, 0, 1]
 
     def test_single_candidate_within_caps_accepted(self):
         inst = make_instance([[10.0]], [[1e6]], [30e6],
                              hub_bandwidth_cap_hz=2e6, hub_link_cap=1)
-        candidates = np.ones((1, 1), dtype=np.int8)
-        assert greedy_step2(inst, candidates).sum() == 1
+        assert greedy_step2(inst, np.ones(1, dtype=np.uint8))[0].sum() == 1
 
     def test_zero_link_cap_rejects_everything(self):
         inst = make_instance([[10.0]] * 3, [[1e6]] * 3, [30e6] * 3,
                              hub_link_cap=0)
-        candidates = np.ones((3, 1), dtype=np.int8)
-        assert greedy_step2(inst, candidates).sum() == 0
+        assert greedy_step2(inst, np.ones(3, dtype=np.uint8))[0].sum() == 0
 
     def test_rate_tie_broken_by_bandwidth_then_index(self):
         sinr = [[10.0], [10.0], [10.0]]
         bw = [[30e6], [20e6], [20e6]]
         inst = make_instance(sinr, bw, [90e6, 90e6, 90e6],
                              hub_bandwidth_cap_hz=45e6, hub_link_cap=3)
-        a = greedy_step2(inst, np.ones((3, 1), dtype=np.int8))
+        a, _ = greedy_step2(inst, np.ones(3, dtype=np.uint8))
         # cell 1 first (20 MHz beats 30, index beats cell 2), then cell 2
         # fits within 45; cell 0 is rejected for bandwidth
         assert a[:, 0].tolist() == [0, 1, 1]
@@ -320,9 +314,10 @@ class TestStep2:
     @settings(max_examples=100, deadline=None)
     def test_caps_respected_and_candidates_only(self, seed):
         inst = random_instance(seed, n_cells=15, n_hubs=3, tight=True)
-        candidates = greedy_step1(inst)
-        a = greedy_step2(inst, candidates)
-        assert ((a == 1) <= (candidates == 1)).all()
+        requests = greedy_step1(inst)
+        a, _ = greedy_step2(inst, requests)
+        rows, cols = np.nonzero(a)
+        assert (requests[rows] == cols + 1).all()  # requested links only
         for j in range(inst.n_hubs):
             assert a[:, j].sum() <= inst.hub_link_caps[j]
             used = math.fsum(float(inst.link_table.bandwidth_hz[i, j])
@@ -335,7 +330,7 @@ class TestStep3:
         inst = make_instance([[10.0]] * 2, [[1e6]] * 2, [30e6, 60e6],
                              backhaul_cap_bps=100e6)
         a = np.ones((2, 1), dtype=np.int8)
-        trimmed, (_, cols) = greedy_step3(inst, a)
+        trimmed, (_, cols) = greedy_step3(inst, a, np.nonzero(a))
         assert (trimmed == a).all() and np.unique(cols).size == 1
 
     def test_min_link_hub_loses_smallest_landing_cell(self):
@@ -345,7 +340,7 @@ class TestStep3:
         inst = make_instance(sinr, bw, [30e6, 60e6, 90e6],
                              backhaul_cap_bps=150e6)
         a = np.array([[1, 0], [0, 1], [0, 1]], dtype=np.int8)
-        trimmed, (_, cols) = greedy_step3(inst, a)
+        trimmed, (_, cols) = greedy_step3(inst, a, np.nonzero(a))
         assert objective(inst, trimmed) == 150e6
         assert trimmed[0].sum() == 0  # the 30 Mbps cell on the light hub went
         assert np.unique(cols).size == 1
@@ -354,15 +349,15 @@ class TestStep3:
         inst = make_instance([[10.0]] * 3, [[1e6]] * 3, [30e6, 60e6, 90e6],
                              backhaul_cap_bps=0.0)
         a = np.ones((3, 1), dtype=np.int8)
-        trimmed, (_, cols) = greedy_step3(inst, a)
+        trimmed, (_, cols) = greedy_step3(inst, a, np.nonzero(a))
         assert trimmed.sum() == 0 and cols.size == 0
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=100, deadline=None)
     def test_total_rate_lands_at_or_below_cap(self, seed):
         inst = random_instance(seed, n_cells=12, n_hubs=3, tight=True)
-        packed = greedy_step2(inst, greedy_step1(inst))
-        trimmed, _ = greedy_step3(inst, packed)
+        packed, links = greedy_step2(inst, greedy_step1(inst))
+        trimmed, _ = greedy_step3(inst, packed, links)
         assert objective(inst, trimmed) <= inst.backhaul_cap_bps
         # never un-removes or adds
         assert ((trimmed == 1) <= (packed == 1)).all()

@@ -11,8 +11,9 @@ from _builders import make_layout
 from skyhaul.channel import (LIGHT_SPEED, build_link_table, coverage_radius,
                              p_los, path_loss_db)
 from skyhaul.config import table1_urban
-from skyhaul.geometry import (HardCoreSpec, hardcore_thin, matern_type1,
-                              poisson_points)
+from skyhaul import geometry
+from skyhaul.geometry import (DrawSizeError, HardCoreSpec, hardcore_thin,
+                              matern_type1, poisson_points)
 from skyhaul.units import sub_seed
 
 URBAN_SPEC = HardCoreSpec(area_side=4000.0, intensity=2e-6, min_separation=300.0)
@@ -212,6 +213,25 @@ class TestHardcoreThinSweep:
         finally:
             tracemalloc.stop()
         assert peak < len(points) ** 2 // 4
+
+
+class TestDrawCaps:
+    def test_point_cap_is_inclusive(self, monkeypatch):
+        n = len(poisson_points(URBAN_SPEC, 5))
+        monkeypatch.setattr(geometry, "MAX_POINTS", n)
+        assert len(poisson_points(URBAN_SPEC, 5)) == n
+        monkeypatch.setattr(geometry, "MAX_POINTS", n - 1)
+        with pytest.raises(DrawSizeError, match=f"{n} parent points"):
+            poisson_points(URBAN_SPEC, 5)
+
+    def test_candidate_pair_cap_is_inclusive(self, monkeypatch):
+        # all three x gaps are within the separation: three candidate pairs
+        pts = np.array([[0.0, 0.0], [1.0, 5.0], [2.0, 10.0]])
+        monkeypatch.setattr(geometry, "MAX_CANDIDATE_PAIRS", 3)
+        assert np.array_equal(hardcore_thin(pts, 3.0), pts)
+        monkeypatch.setattr(geometry, "MAX_CANDIDATE_PAIRS", 2)
+        with pytest.raises(DrawSizeError, match="3 candidate pairs"):
+            hardcore_thin(pts, 3.0)
 
 
 class TestMaternType1:

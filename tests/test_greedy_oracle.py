@@ -4,20 +4,23 @@ The reference transcribes the greedy as the paper states it: a per-cell
 argmax, a per-hub queue probed with math.fsum over the accepted bandwidths
 plus the candidate, and a trim that picks the lightest live hub afresh
 before every removal. Matrix, hubs in use and op count must match exactly,
-and step 3's links and the report must be those of the matrix.
+and step 3's links and the report must be those of the matrix. Each step's
+hand-off to the next (step 1's request vector, step 2's and step 3's links)
+must be what the next step would otherwise read off a matrix.
 """
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _builders import make_instance
 from skyhaul import association
-from skyhaul.association import (exact_grid, greedy_step1, greedy_step2,
-                                 greedy_step3, grid_limit, solve_greedy,
-                                 solve_report)
+from skyhaul.association import (OpCounter, check_feasible, exact_grid,
+                                 greedy_step1, greedy_step2, greedy_step3,
+                                 grid_limit, solve_greedy, solve_report)
 from skyhaul.harness import relax_to_qos_only
 from skyhaul.instances import RATE_MENU_BPS, random_instance
 
@@ -29,6 +32,18 @@ def bandwidth_key(b):
     return (1, 0.0) if math.isnan(b) else (0, float(b))
 
 
+def reference_step1(inst):
+    """Step 1's candidate matrix, one cell at a time: a cell marks its
+    argmax hub when that SINR clears the threshold."""
+    sinr = inst.link_table.sinr_db
+    candidates = np.zeros(sinr.shape, dtype=np.int8)
+    for i in range(inst.n_cells):
+        j = int(np.argmax(sinr[i]))
+        if sinr[i, j] >= inst.sinr_min_db:
+            candidates[i, j] = 1
+    return candidates
+
+
 def reference_greedy(inst):
     """(matrix, hubs_in_use, op_count) of the three greedy steps, one
     element at a time."""
@@ -38,12 +53,8 @@ def reference_greedy(inst):
     rates = inst.rates
     ops = 0
 
-    candidates = np.zeros((n, m), dtype=np.int8)
-    for i in range(n):
-        j = int(np.argmax(sinr[i]))
-        ops += max(m - 1, 0) + 1
-        if sinr[i, j] >= inst.sinr_min_db:
-            candidates[i, j] = 1
+    candidates = reference_step1(inst)
+    ops += n * (max(m - 1, 0) + 1)
 
     a = np.zeros((n, m), dtype=np.int8)
     for j in range(m):
@@ -121,8 +132,8 @@ def assert_matches_reference(inst):
     assert report.hubs_in_use == want_hubs
     assert report.op_count == want_ops
     # step 3 hands over the links of its own matrix, in np.nonzero's order
-    packed = greedy_step2(inst, greedy_step1(inst))
-    trimmed, (rows, cols) = greedy_step3(inst, packed)
+    packed, links = greedy_step2(inst, greedy_step1(inst))
+    trimmed, (rows, cols) = greedy_step3(inst, packed, links)
     want_rows, want_cols = np.nonzero(trimmed)
     assert np.array_equal(trimmed, want)
     assert rows.tolist() == want_rows.tolist() and cols.tolist() == want_cols.tolist()
@@ -131,9 +142,75 @@ def assert_matches_reference(inst):
                                   report.wall_time_s, want_ops)
 
 
+def assert_handoffs(inst):
+    """Each step hands on what the next would otherwise read off a matrix:
+    step 1 the requests of the reference's candidate matrix, step 2 the
+    links of its own matrix; and step 3 given those links does what it does
+    given `np.nonzero` of the packed matrix."""
+    requests = greedy_step1(inst)
+    candidates = reference_step1(inst)
+    want = [int(np.argmax(row)) + 1 if row.any() else 0 for row in candidates]
+    assert requests.tolist() == want
+    assert np.count_nonzero(requests) == int(candidates.sum())
+
+    packed, (rows, cols) = greedy_step2(inst, requests)
+    want_rows, want_cols = np.nonzero(packed)
+    assert rows.tolist() == want_rows.tolist() and cols.tolist() == want_cols.tolist()
+
+    handed, scanned = OpCounter(), OpCounter()
+    a, (rows, cols) = greedy_step3(inst, packed, (rows, cols), handed)
+    b, (want_rows, want_cols) = greedy_step3(inst, packed, np.nonzero(packed), scanned)
+    assert np.array_equal(a, b) and handed.count == scanned.count
+    assert rows.tolist() == want_rows.tolist() and cols.tolist() == want_cols.tolist()
+
+
 def test_matches_reference_on_small_instances():
     for seed in range(300):
         assert_matches_reference(oracle_instance(seed))
+
+
+def test_handoffs_on_oracle_instances():
+    for seed in range(300):
+        assert_handoffs(oracle_instance(seed))
+
+
+def test_handoffs_on_tie_heavy_instances():
+    for seed in range(200):
+        assert_handoffs(tie_heavy_instance(seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_handoffs_past_255_hubs(seed):
+    # 300 hubs: the request vector and the links' columns are uint16, and
+    # no arithmetic on them may wrap (NEP 50 keeps a narrow dtype narrow)
+    inst = random_instance(seed, 400, 300, tight=True)
+    assert greedy_step1(inst).dtype == np.uint16
+    assert_handoffs(inst)
+    assert_matches_reference(inst)
+
+
+def test_one_full_matrix_scan_per_solve_and_check(monkeypatch):
+    # at greedy scale only the independent checker reads links off a matrix
+    inst = random_instance(0, 3000, 40, tight=True)
+    scans = []
+    links = association._links
+    monkeypatch.setattr(association, "_links", lambda a: scans.append(a.shape) or links(a))
+    a, _ = solve_greedy(inst)
+    assert scans == []
+    assert check_feasible(inst, a).ok
+    assert scans == [(3000, 40)]
+
+
+def test_step1_allocates_no_matrix():
+    # well under one byte per link: the request vector is one entry per cell
+    inst = random_instance(0, 1000, 400)
+    tracemalloc.start()
+    try:
+        greedy_step1(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inst.n_cells * inst.n_hubs // 4
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -172,7 +249,7 @@ def test_queue_total_landing_on_grid_limit():
     inst = make_instance([[10.0]] * 4, [[b] for b in bw], [4.0, 3.0, 2.0, 1.0],
                          hub_bandwidth_cap_hz=1.0)
     assert_matches_reference(inst)
-    packed = greedy_step2(inst, greedy_step1(inst))
+    packed, _ = greedy_step2(inst, greedy_step1(inst))
     assert packed[:, 0].tolist() == [1, 1, 0, 1]
 
 
@@ -182,7 +259,7 @@ def test_prefix_cut_by_link_cap_before_bandwidth_cap(link_cap):
     inst = make_instance([[10.0]] * 5, [[1.0]] * 5, [5.0, 4.0, 3.0, 2.0, 1.0],
                          hub_bandwidth_cap_hz=3.0, hub_link_cap=link_cap)
     assert_matches_reference(inst)
-    packed = greedy_step2(inst, greedy_step1(inst))
+    packed, _ = greedy_step2(inst, greedy_step1(inst))
     assert packed[:, 0].tolist() == [1] * link_cap + [0] * (5 - link_cap)
 
 
@@ -206,7 +283,9 @@ def test_matches_reference_with_units_wider_than_int64():
     for seed in range(150):
         inst = spread_instance(seed)
         assert_matches_reference(inst)
-        queued = inst.link_table.bandwidth_hz[greedy_step1(inst) == 1]
+        requests = greedy_step1(inst)
+        cells = np.flatnonzero(requests)
+        queued = inst.link_table.bandwidth_hz[cells, requests[cells] - 1]
         wide += max(exact_grid(queued)[0], default=0) >= 2**63
     assert wide >= 100
 
@@ -223,7 +302,7 @@ def test_matches_reference_with_queue_total_past_2_63():
     inst = make_instance(sinr, bw, [30e6] * 7, hub_bandwidth_cap_hz=2500.0)
     assert_matches_reference(inst)
     # 1.0 + 1000.0 + 1000.0 fit hub 0's cap, a third 1000.0 would not
-    packed = greedy_step2(inst, greedy_step1(inst))
+    packed, _ = greedy_step2(inst, greedy_step1(inst))
     assert packed.tolist() == [[1, 0]] * 3 + [[0, 0]] * 2 + [[0, 1]] * 2
 
 
@@ -233,8 +312,9 @@ def test_zero_or_inf_candidate_leaves_the_grid_alone(monkeypatch, value, probed)
     # scale: the other hubs still take their prefix from the int64 totals,
     # and only a hub queueing an inf probes one by one with admit
     base = random_instance(0, 3000, 40, tight=True)
-    candidates = greedy_step1(base)
-    i, j = np.argwhere(candidates)[0]
+    requests = greedy_step1(base)
+    i = int(np.flatnonzero(requests)[0])
+    j = int(requests[i]) - 1
     bw = base.link_table.bandwidth_hz.copy()
     bw[i, j] = value
     inst = dataclasses.replace(
@@ -244,6 +324,6 @@ def test_zero_or_inf_candidate_leaves_the_grid_alone(monkeypatch, value, probed)
     admit = association.admit
     monkeypatch.setattr(association, "admit",
                         lambda *args: calls.append(args) or admit(*args))
-    greedy_step2(inst, candidates)
+    greedy_step2(inst, requests)
     assert len(calls) == probed
-    assert probed < candidates[:, j].sum()
+    assert probed < np.count_nonzero(requests == j + 1)

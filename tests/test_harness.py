@@ -18,6 +18,7 @@ from skyhaul.harness import (SeedSearchError, SolutionRejectedError,
                              prepare_scenario, relax_to_qos_only, run_scenario,
                              seed_search, solve_verified, sweep_constraints)
 from skyhaul.report import SolveReport
+from test_greedy_oracle import assert_handoffs
 
 CASE_STUDY = table1_urban()
 # the dense-field benchmark preset: ~240 cells x ~35 hubs on a 2 km side
@@ -223,41 +224,51 @@ class TestOneVerdict:
         assert solve_exact(inst)[1].feasible is None
 
 
+def edge_instance(data) -> ProblemInstance:
+    """Caps of 0, at an exact partial sum or half a unit either side of
+    one, and inf; link caps 0..n; thresholds and SINRs of +-inf, NaN SINRs
+    and bandwidths."""
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+
+    def table(values):
+        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * m,
+                                           max_size=n * m))).reshape(n, m)
+
+    def edge_cap(values):
+        finite = [v for v in values if math.isfinite(v)]
+        tie = math.fsum(finite[:data.draw(st.integers(0, len(finite)))])
+        return data.draw(st.sampled_from(
+            [0.0, tie, tie + 0.5, max(tie - 0.5, 0.0), math.inf]))
+
+    sinr = table([-math.inf, -10.0, -5.0, 0.0, 10.0, math.inf, math.nan])
+    bw = table([0.0, 0.5, 1.0, 1.5, 2.0, math.inf, math.nan])
+    rates = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0]),
+                                        min_size=n, max_size=n)))
+    return ProblemInstance(
+        link_table=LinkTable(pl_db=np.zeros((n, m)), sinr_db=sinr,
+                             spec_eff=np.ones((n, m)), bandwidth_hz=bw),
+        rates=rates,
+        backhaul_cap_bps=edge_cap(rates.tolist()),
+        hub_bandwidth_caps=np.array([edge_cap(bw[:, j].tolist()) for j in range(m)]),
+        hub_link_caps=np.array(data.draw(st.lists(st.integers(0, n), min_size=m,
+                                                  max_size=m))),
+        sinr_min_db=data.draw(st.sampled_from([-math.inf, -5.0, 0.0, math.inf])),
+    )
+
+
 class TestInstanceDomainEdges:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_solve_verified_accepts_both_solvers(self, data):
-        # caps of 0, at an exact partial sum or half a unit either side of
-        # one, and inf; link caps 0..n; thresholds and SINRs of +-inf
-        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
-
-        def table(values):
-            return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * m,
-                                               max_size=n * m))).reshape(n, m)
-
-        def edge_cap(values):
-            finite = [v for v in values if math.isfinite(v)]
-            tie = math.fsum(finite[:data.draw(st.integers(0, len(finite)))])
-            return data.draw(st.sampled_from(
-                [0.0, tie, tie + 0.5, max(tie - 0.5, 0.0), math.inf]))
-
-        sinr = table([-math.inf, -10.0, -5.0, 0.0, 10.0, math.inf, math.nan])
-        bw = table([0.0, 0.5, 1.0, 1.5, 2.0, math.inf, math.nan])
-        rates = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0]),
-                                            min_size=n, max_size=n)))
-        inst = ProblemInstance(
-            link_table=LinkTable(pl_db=np.zeros((n, m)), sinr_db=sinr,
-                                 spec_eff=np.ones((n, m)), bandwidth_hz=bw),
-            rates=rates,
-            backhaul_cap_bps=edge_cap(rates.tolist()),
-            hub_bandwidth_caps=np.array([edge_cap(bw[:, j].tolist()) for j in range(m)]),
-            hub_link_caps=np.array(data.draw(st.lists(st.integers(0, n), min_size=m,
-                                                      max_size=m))),
-            sinr_min_db=data.draw(st.sampled_from([-math.inf, -5.0, 0.0, math.inf])),
-        )
+        inst = edge_instance(data)
         solved = solve_verified(inst, "both", 0, DEFAULT_NODE_BUDGET)
         greedy, exact = solved["greedy"][1], solved["exact"][1]
         assert greedy.sum_rate_bps <= exact.sum_rate_bps == enumerate_all(inst)[1]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_handoffs(self, data):
+        assert_handoffs(edge_instance(data))
 
 
 class TestSeedSearch:
@@ -356,6 +367,35 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r").exists()
         assert "avg_spec_eff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, field", [
+        # 2.0e6 and 8.0e6 expected parent points, past geometry.MAX_POINTS;
+        # uncapped, the draws asked for 8.94 GiB and 33.6 TiB of pair indices
+        ("area_side_m = 1e6", "area_side_m"),
+        ("cell_intensity_per_m2 = 0.5", "cell_intensity_per_m2"),
+        # 1e5 parent points with about 3e8 candidate pairs 3 km apart in x
+        ("area_side_m = 1e5\ncell_intensity_per_m2 = 1e-5\ncell_min_sep_m = 3000",
+         "cell_min_sep_m"),
+        # a few dozen cells survive the 60 m thinning, but the hub draw at
+        # the 1.8 km coverage radius pairs up 8,000 parents 2e7 times
+        ("cell_intensity_per_m2 = 5e-4\ncell_min_sep_m = 60\npl_max_db = 122",
+         "pl_max_db"),
+        # about 16,000 cells at one link per hub: a 16,000 x 16,000 link table
+        ("cell_intensity_per_m2 = 1e-3\ncell_min_sep_m = 1\nhub_link_cap = 1",
+         "hub_link_cap"),
+    ])
+    def test_memory_cap_exit_two(self, tmp_path, capsys, line, field):
+        ini = tmp_path / "big.ini"
+        ini.write_text(f"[scenario]\n{line}\n")
+        assert main(["run", "--config", str(ini), "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
+        assert field in capsys.readouterr().err
+
+    def test_seed_search_memory_cap_exit_two(self, tmp_path, capsys):
+        ini = tmp_path / "big.ini"
+        ini.write_text("[scenario]\narea_side_m = 1e6\n")
+        assert main(["seed-search", "--config", str(ini), "--target", "1"]) == 2
+        assert "area_side_m" in capsys.readouterr().err
 
     def test_large_avg_spec_eff_still_runs(self, tmp_path):
         ini = tmp_path / "eff.ini"
