@@ -34,19 +34,12 @@ most the cap, and a total fits iff it is at most that limit. Int/int true
 division is correctly rounded, as fsum is, so the verdict equals the
 checker's fsum verdict and no verdict depends on accumulation order.
 
-Both exact bandwidth verdicts run on arrays wherever a range argument
-allows, and take the exact route above elsewhere:
+Step 2 and the checker share one float certificate, `_certainly_fits`, and
+take the exact route above only for the hubs it cannot clear:
 
-- Step 2 keeps the grid's units in int64 and finds every hub's accepted
-  prefix from one int64 cumsum over all queues, compared with the cap's
-  `grid_limit` clipped to int64. A hub qualifies when its queue's exact
-  total is certainly below 2**63 units (the range argument is in
-  `greedy_step2`). The others (a unit wider than int64, a non-finite
-  bandwidth, a queue total that could reach 2**63) and every probe after a
-  refusal go through `admit` on exact Python ints.
-- The checker clears a hub without fsum when its float bandwidth total t,
-  plus a slack of 2(K + 1)u times t (u = 2**-53, K >= k the matrix's link
-  count, k the hub's), is below its cap. A float sum of k terms, in any
+- A hub is clear when its float bandwidth total t, plus a slack of
+  2(K + 1)u times t (u = 2**-53, K >= k the number of terms summed over
+  all hubs, k the hub's), is below its cap. A float sum of k terms, in any
   order, is within gamma_(k-1) = (k - 1)u / (1 - (k - 1)u) times the sum of
   their magnitudes of the exact sum (Higham 2002, Accuracy and Stability
   of Numerical Algorithms, 4.2). Bandwidths are nonnegative, so t is also
@@ -54,11 +47,17 @@ allows, and take the exact route above elsewhere:
   own error there and the rounding of the slack's product. The test's
   addition needs no margin: rounding is monotone and the cap is a double,
   so t + slack < cap as computed holds exactly too; the exact sum is then
-  below the cap, and fsum's rounding of it at most the cap. A clear hub
-  also needs t < 2**1023, which keeps every partial sum fsum forms inside
-  the double range. The other hubs, at, near or over their cap or with a
-  non-finite total, get math.fsum of their links, so every verdict and
-  printed total is fsum's.
+  below the cap, and fsum's rounding of it, and of any partial sum, at
+  most the cap. A clear hub also needs t < 2**1023, which keeps every
+  partial sum fsum forms inside the double range. A NaN or inf total is
+  never clear.
+- Step 2 clears a hub on its whole queue: every probe of a clear hub fits,
+  so it takes its first link-cap candidates with no grid, and all of them,
+  unsorted, when they are no more than its link cap. A hub at, near or
+  over its cap, or with an inf or NaN bandwidth, probes its queue one by
+  one with `admit`, on one `exact_grid` built only when such a hub exists.
+- The checker clears a hub on its links, and gives each other hub
+  math.fsum of its links, so every verdict and printed total is fsum's.
 """
 
 import functools
@@ -122,6 +121,17 @@ class ProblemInstance:
         """Demanded rate per cell as an exact int, bps."""
         return tuple(int(r) for r in self.rates.tolist())
 
+    @functools.cached_property
+    def admissible(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat row-major indices, rows and columns of the links whose SINR
+        clears the admission threshold (a NaN SINR does not), in row-major
+        order."""
+        flat = (self.link_table.sinr_db >= self.sinr_min_db).ravel().nonzero()[0]
+        view = (flat, *np.divmod(flat, self.n_hubs))
+        for array in view:  # shared by every caller: read-only
+            array.flags.writeable = False
+        return view
+
     @property
     def n_cells(self) -> int:
         return self.link_table.n_cells
@@ -167,13 +177,6 @@ def exact_grid(values: np.ndarray) -> tuple[list, int]:
     every finite value, subnormals included: units are Python ints, so sums
     of them never round. Non-finite values come back as floats; see `admit`.
     """
-    units, scale = _int64_grid(values)
-    return _exact_units(units, values, scale), scale
-
-
-def _int64_grid(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """`exact_grid` in int64: (units, scale), with units[k] exact wherever
-    abs(values[k]) * scale < 2**63."""
     finite = np.isfinite(values)
     mant, exp = np.frexp(np.where(finite, values, 0.0))
     # mant * 2**53 is a whole number for every double; value = that * 2**lift.
@@ -181,26 +184,18 @@ def _int64_grid(values: np.ndarray) -> tuple[np.ndarray, int]:
     # not set the scale
     lift = exp - 53
     low = int(lift.min(where=mant != 0, initial=0))
-    # a whole of 53 bits shifted by up to 10 stays below 2**63; a unit that
-    # needs a wider shift is at least 2**63
-    units = (mant * 2.0**53).astype(np.int64) << np.minimum(lift - low, 10)
-    return units, 1 << -low
-
-
-def _exact_units(units: np.ndarray, values: np.ndarray, scale: int) -> list:
-    """`exact_grid`'s units from `_int64_grid`'s: Python ints, with each
-    unit past int64 computed from its value, or the value itself if it is
-    not finite."""
-    exact = units.tolist()
-    # abs(value) < 2**63 / scale, a power of two: the unit fits in int64
+    scale = 1 << -low
+    # a whole of 53 bits shifted by up to 10 stays below 2**63, so the units
+    # of values below 2**63 / scale, a power of two, are exact in int64
+    units = ((mant * 2.0**53).astype(np.int64) << np.minimum(lift - low, 10)).tolist()
     for k in np.flatnonzero(~(abs(values) < math.ldexp(1.0, 64 - scale.bit_length()))).tolist():
         value = float(values[k])
         if math.isfinite(value):
             # the grid's scale is a multiple of every value's denominator
             num, den = value.as_integer_ratio()
             value = num * (scale // den)
-        exact[k] = value
-    return exact
+        units[k] = value
+    return units, scale
 
 
 def grid_limit(cap: float, scale: int) -> int | float:
@@ -280,6 +275,17 @@ def objective(inst: ProblemInstance, a: AssociationMatrix) -> float:
     return float(_rate_total(inst, _links(a)[0]))
 
 
+def _certainly_fits(total: np.ndarray, caps: np.ndarray, n_terms: int) -> np.ndarray:
+    """Per hub, whether the exact sum of its bandwidths certainly fits its
+    cap, given `total`, their float sum in any order, with at least as many
+    terms summed over all hubs as any one hub's; see the module docstring.
+    A NaN or inf total never clears."""
+    # 2(K + 1)u per magnitude sum, here the total, K the term count
+    slack = total * ((n_terms + 1) * 2.0**-52)
+    with np.errstate(over="ignore"):  # past the double range
+        return (total + slack < caps) & (total < 2.0**1023)
+
+
 def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityReport:
     """Evaluate the five association constraints; violations are data, not errors.
 
@@ -305,12 +311,7 @@ def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityRe
     bw = inst.link_table.bandwidth_hz.take(flat)
     caps = inst.hub_bandwidth_caps
     total = np.bincount(cols, weights=bw, minlength=inst.n_hubs)
-    # 2(K + 1)u per magnitude sum, here the total, K the link count, at
-    # least any hub's
-    slack = total * ((len(flat) + 1) * 2.0**-52)
-    with np.errstate(over="ignore"):  # past the double range
-        clear = (total + slack < caps) & (total < 2.0**1023)
-    for j in np.flatnonzero(~clear).tolist():
+    for j in np.flatnonzero(~_certainly_fits(total, caps, len(flat))).tolist():
         used, cap = math.fsum(bw[cols == j].tolist()), float(caps[j])
         if not used <= cap:  # a NaN total never fits, as in `admit`
             violated.append((CONSTRAINT_BANDWIDTH, f"hub {j}: {used:.6g} Hz > cap {cap:.6g} Hz"))
@@ -365,24 +366,15 @@ def greedy_step2(inst: ProblemInstance, requests: np.ndarray,
     continues. Stops when links run out or no candidates remain. Returns the
     packed matrix and its links as (rows, cols), in row-major order.
 
-    The requested links, read straight off the request vector, are queued by
-    hub once, with their bandwidths as units on one `exact_grid`. Until a
-    probe is refused, a queue's running totals are its prefix sums, so a hub
-    accepts its longest fitting prefix, at most its link cap long; `admit`
-    then probes the rest of the queue one by one on exact Python ints.
-
-    The prefixes come from one int64 cumsum over all queues. numpy's integer
-    cumsum wraps modulo 2**64, so the difference of two of its entries is a
-    queue's exact partial sum whenever that sum is below 2**63. A hub
-    qualifies when the float sum of its bandwidths, which are nonnegative,
-    is below 2**62 / scale: a float sum of k nonnegative terms is at least
-    1 - gamma_(k-1) times the exact one (Higham 2002, 4.2; gradual underflow
-    keeps that so), so the exact queue total is below 2**63 units. Then
-    every unit is exact in int64, the partial sums ascend, and they compare
-    with the cap's `grid_limit` as with that limit clipped to int64. A hub
-    with an inf or NaN bandwidth does not qualify, nor does one with a unit
-    wider than int64, which is at least 2**63 by itself. Such a hub takes
-    an empty prefix and probes its whole queue with `admit`.
+    The requested links are read straight off the request vector. A hub
+    whose whole queue certainly fits its bandwidth cap (the float
+    certificate in the module docstring, on the float total of its
+    requests) accepts every probe, so it takes its first
+    min(count, link cap) candidates at once: all of them, with no sort,
+    when the count is at most the link cap. The other hubs' requests are
+    queued by hub once. Every hub not certified probes its whole queue one
+    by one with `admit`, on one `exact_grid` over the queued bandwidths,
+    built only when such a hub exists.
     """
     ops = ops or OpCounter()
     m = inst.n_hubs
@@ -392,50 +384,48 @@ def greedy_step2(inst: ProblemInstance, requests: np.ndarray,
     link_cols = requests.take(rows) - 1
     flat = rows * m + link_cols  # intp rows: the sum is intp, never narrow
     bw = inst.link_table.bandwidth_hz.take(flat)
-    # grouped by hub, then by (-rate, bandwidth); lexsort is stable, so the
-    # ascending rows of the row-major links break the remaining ties
-    order = np.lexsort((bw, -inst.rates.take(rows), link_cols))
-    bw, cols = bw[order], link_cols[order]
-    # one grid for every queue: a common scale keeps each hub's total exact
-    units, scale = _int64_grid(bw)
-    counts = np.bincount(cols, minlength=m)
-    ends = counts.cumsum()
-    first = np.repeat(ends - counts, counts)  # queue head of each link
-    # the hubs whose queue total certainly stays below 2**63 units; an inf
-    # or NaN bandwidth fails the bound
-    reach = np.bincount(cols, weights=bw, minlength=m)
-    room = inst.hub_link_caps * (reach < math.ldexp(1.0, 63 - scale.bit_length()))
-    caps = inst.hub_bandwidth_caps.tolist()
-    # one grid_limit per distinct cap (a fleet's hubs usually share one)
-    limits = {c: grid_limit(c, scale) for c in dict.fromkeys(caps)}
-    hub_limit = np.fromiter((min(limits[c], 2**63 - 1) for c in caps), np.int64, m)
-    totals = units.cumsum()
-    totals -= (totals - units).take(first)  # each queue's own prefix sums
-    taken = (np.arange(len(cols)) - first < room.take(cols)) & (totals <= hub_limit.take(cols))
-    probes = np.bincount(cols[taken], minlength=m).tolist()  # so far one per prefix link
-    ends, counts, link_caps = ends.tolist(), counts.tolist(), inst.hub_link_caps.tolist()
-    # a hub probes on while it has both candidates and free links left
-    tail = [j for j in range(m) if probes[j] < min(counts[j], link_caps[j])]
-    exact = _exact_units(units, bw, scale) if tail else []
-    probed: list[int] = []  # queue positions accepted one by one
-    for j in tail:
-        limit, link_cap, links = limits[caps[j]], link_caps[j], probes[j]
-        start = ends[j] - counts[j] + links
-        used = int(totals[start - 1]) if links else 0
-        for k in range(start, ends[j]):
-            if links >= link_cap:
-                break
-            probes[j] += 1
-            total = admit(used, exact[k], limit)
-            if total is not None:
-                probed.append(k)
-                used, links = total, links + 1
+    counts = np.bincount(link_cols, minlength=m)
+    # a hub whose whole queue certainly fits takes its first link-cap links,
+    # so one with no more candidates than that takes them all, in any order
+    fits = _certainly_fits(np.bincount(link_cols, weights=bw, minlength=m),
+                           inst.hub_bandwidth_caps, len(rows))
+    room = inst.hub_link_caps * fits
+    taken = (counts <= room).take(link_cols)
+    # the other hubs' queues, grouped by hub, then by (-rate, bandwidth);
+    # lexsort is stable, so the ascending rows of the row-major links break
+    # the remaining ties
+    queued = (~taken).nonzero()[0]
+    cols = link_cols.take(queued)
+    order = np.lexsort((bw.take(queued), -inst.rates.take(rows.take(queued)), cols))
+    queued, cols = queued.take(order), cols.take(order)
+    queue_counts = np.bincount(cols, minlength=m)
+    starts = queue_counts.cumsum() - queue_counts
+    taken[queued[np.arange(len(cols)) < (starts + room).take(cols)]] = True
+    starts, counts, link_caps = starts.tolist(), counts.tolist(), inst.hub_link_caps.tolist()
+    probes = [min(c, r) for c, r in zip(counts, room.tolist())]  # one per taken link
+    # every other hub with candidates and links probes its queue one by one
+    tail = [j for j, f in enumerate(fits.tolist()) if not f and min(counts[j], link_caps[j])]
+    if tail:
+        exact, scale = exact_grid(bw.take(queued))
+        caps = inst.hub_bandwidth_caps.tolist()
+        # one grid_limit per distinct cap (a fleet's hubs usually share one)
+        limits = {c: grid_limit(c, scale) for c in dict.fromkeys(caps[j] for j in tail)}
+        probed: list[int] = []  # queue positions accepted one by one
+        for j in tail:
+            limit, link_cap = limits[caps[j]], link_caps[j]
+            used = links = 0
+            for k in range(starts[j], starts[j] + counts[j]):
+                if links >= link_cap:
+                    break
+                probes[j] += 1
+                total = admit(used, exact[k], limit)
+                if total is not None:
+                    probed.append(k)
+                    used, links = total, links + 1
+        taken[queued.take(probed)] = True
     # probe k scans the count - k remaining candidates, plus 2
     ops.add(sum(p * (c + 2) - p * (p - 1) // 2 for p, c in zip(probes, counts)))
-    taken[probed] = True
-    kept = np.empty_like(taken)
-    kept[order] = taken
-    kept = kept.nonzero()[0]  # the accepted links, back in row-major order
+    kept = taken.nonzero()[0]  # the accepted links, in row-major order
     a = empty_association(inst.n_cells, m)
     a.reshape(-1)[flat.take(kept)] = 1
     return a, (rows.take(kept), link_cols.take(kept))

@@ -17,9 +17,10 @@ the headroom rounded down to a multiple of the gcd of their demands, since
 demands are whole bps. Rate totals are exact Python ints (below 2**53, so
 they equal the checker's fsum), and a whole total fits the backhaul cap iff
 it fits the cap's floor, so the backhaul test and the bound are int
-arithmetic. Each hub's bandwidth total is an exact int on one `exact_grid`,
-compared with its `grid_limit` as in greedy step 2; a non-finite unit is
-settled by `admit`'s rules when the plan is built.
+arithmetic. Each hub's bandwidth total is an exact int on one `exact_grid`
+of the admissible links (`ProblemInstance.admissible`), compared with its
+`grid_limit` as in greedy step 2; a non-finite unit is settled by `admit`'s
+rules when the plan is built.
 
 The enumerator has no capacity logic of its own beyond vectorised sums:
 its rate sums are exact, and a candidate whose float bandwidth sum lands
@@ -88,18 +89,26 @@ def solve_exact(inst: ProblemInstance,
     suffix_gcd = list(accumulate(tail_rates, math.gcd, initial=0))[::-1]
     # whole-bps totals fit a cap iff they fit its floor, and never pass the total demand
     top = math.floor(min(cap, suffix_sum[0]))
-    bw = inst.link_table.bandwidth_hz.ravel()
+    # only the admissible links are gridded and planned
+    flat, link_rows, link_cols = inst.admissible
+    bw = inst.link_table.bandwidth_hz.take(flat)
     units, scale = exact_grid(bw)
-    limits = [grid_limit(c, scale) for c in inst.hub_bandwidth_caps.tolist()]
+    caps = inst.hub_bandwidth_caps.tolist()
+    # one grid_limit per distinct cap (a fleet's hubs usually share one)
+    limit_of = {c: grid_limit(c, scale) for c in dict.fromkeys(caps)}
+    limits = [limit_of[c] for c in caps]
+    link_cols = link_cols.tolist()
     # a non-finite unit, judged once by admit: 0 where it fits and adds
     # nothing (an infinite cap), None where it never fits
     for k in np.flatnonzero(~np.isfinite(bw)).tolist():
-        units[k] = admit(0, units[k], limits[k % m])
+        units[k] = admit(0, units[k], limits[link_cols[k]])
     free = inst.hub_link_caps.tolist()  # links each hub may take
-    ok = (inst.link_table.sinr_db >= inst.sinr_min_db).tolist()
-    # per depth: the cell, its demand and its admissible (hub, unit) pairs
-    plan = [(i, rates[i], [(j, units[i * m + j]) for j in range(m) if ok[i][j]])
-            for i in order]
+    # each cell's admissible (hub, unit) pairs, hubs ascending
+    hubs_of = [[] for _ in range(n)]
+    for i, j, u in zip(link_rows.tolist(), link_cols, units):
+        hubs_of[i].append((j, u))
+    # per depth: the cell, its demand and its admissible pairs
+    plan = [(i, rates[i], hubs_of[i]) for i in order]
 
     assign = [-1] * n  # hub per cell, -1 for unassigned
     used = [0] * m  # each hub's exact bandwidth total, grid units

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 
 import pytest
@@ -45,6 +46,24 @@ class TestSolveExactSmall:
         assert report.node_count is not None
         assert 0 < report.node_count <= 3 ** 6
         assert report.op_count == report.node_count
+
+    def test_grids_only_the_admissible_links(self, monkeypatch):
+        # a 20 dB bar admits few links, and a NaN SINR is never admissible
+        inst = random_instance(3, n_cells=30, n_hubs=5, sinr_min_db=20.0)
+        sinr = inst.link_table.sinr_db
+        sinr.flat[sinr.argmax()] = math.nan  # the best link, admissible before
+        ok = sinr >= inst.sinr_min_db
+        rows, cols = ok.nonzero()
+        flat, view_rows, view_cols = inst.admissible
+        assert flat.tolist() == ok.ravel().nonzero()[0].tolist()
+        assert view_rows.tolist() == rows.tolist() and view_cols.tolist() == cols.tolist()
+        gridded = []
+        grid = exact.exact_grid
+        monkeypatch.setattr(exact, "exact_grid",
+                            lambda values: gridded.append(len(values)) or grid(values))
+        solve_exact(inst)
+        assert 0 < len(rows) < inst.n_cells * inst.n_hubs // 4
+        assert gridded == [len(rows)]
 
     def test_budget_error_carries_incumbent(self):
         inst = random_instance(9, n_cells=12, n_hubs=3, tight=True)

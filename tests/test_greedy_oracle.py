@@ -12,6 +12,7 @@ must be what the next step would otherwise read off a matrix.
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from skyhaul import association
 from skyhaul.association import (OpCounter, check_feasible, exact_grid,
                                  greedy_step1, greedy_step2, greedy_step3,
                                  grid_limit, solve_greedy, solve_report)
-from skyhaul.harness import relax_to_qos_only
+from skyhaul.config import table1_urban
+from skyhaul.harness import prepare_scenario, relax_to_qos_only
 from skyhaul.instances import RATE_MENU_BPS, random_instance
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -293,8 +295,9 @@ def test_matches_reference_with_units_wider_than_int64():
 def test_matches_reference_with_queue_total_past_2_63():
     # cells 0-4 request hub 0, cells 5-6 hub 1. On the grid of the smallest
     # bandwidth, 1.0, each 1000.0 is a unit below 2**63, and hub 0's queue
-    # totals more than 2**63, so it probes one by one; hub 1's queue stays
-    # in range and takes its prefix from the int64 totals
+    # totals more than 2**63 units: past its cap too, so it probes one by
+    # one on exact Python ints, which hold such totals; hub 1's queue
+    # certainly fits its cap, so it takes its links without a probe
     bw = [[1.0, 9.0]] + [[1000.0, 9.0]] * 4 + [[9.0, 2.0], [9.0, 3.0]]
     units, _ = exact_grid(np.array([row[0] for row in bw[:5]]))
     assert max(units) < 2**63 <= sum(units)
@@ -308,9 +311,10 @@ def test_matches_reference_with_queue_total_past_2_63():
 
 @pytest.mark.parametrize("value, probed", [(0.0, 0), (math.inf, 74)])
 def test_zero_or_inf_candidate_leaves_the_grid_alone(monkeypatch, value, probed):
-    # a zero or non-finite bandwidth is 0 on any grid, so it does not set the
-    # scale: the other hubs still take their prefix from the int64 totals,
-    # and only a hub queueing an inf probes one by one with admit
+    # a zero or inf bandwidth leaves the other hubs' queues certain to fit
+    # their caps, so they take their links without a probe; only the hub
+    # queueing the inf, whose float total is then inf, probes one by one
+    # with admit
     base = random_instance(0, 3000, 40, tight=True)
     requests = greedy_step1(base)
     i = int(np.flatnonzero(requests)[0])
@@ -327,3 +331,128 @@ def test_zero_or_inf_candidate_leaves_the_grid_alone(monkeypatch, value, probed)
     greedy_step2(inst, requests)
     assert len(calls) == probed
     assert probed < np.count_nonzero(requests == j + 1)
+
+
+def spy_exact_route(monkeypatch):
+    """Record step 2's `exact_grid` calls, as (units, scale), and its
+    `admit` calls, as their argument tuples."""
+    grids, probes = [], []
+    grid, admit = association.exact_grid, association.admit
+    monkeypatch.setattr(association, "exact_grid",
+                        lambda values: grids.append(grid(values)) or grids[-1])
+    monkeypatch.setattr(association, "admit",
+                        lambda *args: probes.append(args) or admit(*args))
+    return grids, probes
+
+
+def one_hub_instance(bw, cap):
+    """Cells requesting the one hub at rates descending with the index, so
+    that the queue is the cells in order; links capped only by the count."""
+    n = len(bw)
+    return make_instance([[10.0]] * n, [[b] for b in bw], [float(n - i) for i in range(n)],
+                         hub_bandwidth_cap_hz=cap)
+
+
+def certificate_edge(bw):
+    """The float total of a queue whose float sums are all exact, plus the
+    rounding slack step 2 allows for a queue of that many links."""
+    reach = math.fsum(bw)
+    assert sum(bw) == reach
+    return reach + reach * ((len(bw) + 1) * 2.0**-52)
+
+
+# bandwidths whose float sums round, so only exact totals judge a cap at
+# their fsum
+ROUNDING_QUEUE = [0.1, 0.7, 0.2, 0.3, 1e-3, 0.9, 1.3, 0.6]
+
+
+@pytest.mark.parametrize("ulps, packed", [(0, [1] * 8), (1, [1] * 8), (-1, [1] * 7 + [0])])
+def test_cap_at_the_fsum_of_the_queue(ulps, packed):
+    # a cap at the queue's fsum, or one ulp either side: the bound cannot
+    # clear the hub, and the exact probes take the whole queue unless the
+    # cap is below its fsum, where the last link no longer fits
+    cap = math.fsum(ROUNDING_QUEUE)
+    for _ in range(abs(ulps)):
+        cap = math.nextafter(cap, math.copysign(math.inf, ulps))
+    inst = one_hub_instance(ROUNDING_QUEUE, cap)
+    assert_matches_reference(inst)
+    assert greedy_step2(inst, greedy_step1(inst))[0][:, 0].tolist() == packed
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_cap_at_the_edge_of_the_certificate(monkeypatch, inside):
+    # dyadic bandwidths sum exactly in any order; a cap just above the
+    # total plus its slack clears the hub, which then probes nothing, and a
+    # cap at that sum does not, so every link is probed and fits
+    bw = [0.5, 0.25, 1.0, 0.125, 2.0**-20, 3.0]
+    cap = certificate_edge(bw)
+    if inside:
+        cap = math.nextafter(cap, math.inf)
+    inst = one_hub_instance(bw, cap)
+    assert_matches_reference(inst)
+    grids, probes = spy_exact_route(monkeypatch)
+    packed, _ = greedy_step2(inst, greedy_step1(inst))
+    assert packed[:, 0].tolist() == [1] * len(bw)
+    assert (len(grids), len(probes)) == ((0, 0) if inside else (1, len(bw)))
+
+
+@pytest.mark.parametrize("link_cap", [0, 2, 4, 5, 6])
+def test_certified_hub_takes_its_first_link_cap_candidates(monkeypatch, link_cap):
+    # the queue certainly fits the cap: the hub takes its link_cap highest
+    # rates, here the last cells, or all five when the link cap allows,
+    # without a probe
+    inst = make_instance([[10.0]] * 5, [[1.0]] * 5, [1.0, 2.0, 3.0, 4.0, 5.0],
+                         hub_bandwidth_cap_hz=1e9, hub_link_cap=link_cap)
+    assert_matches_reference(inst)
+    grids, probes = spy_exact_route(monkeypatch)
+    packed, _ = greedy_step2(inst, greedy_step1(inst))
+    taken = min(link_cap, 5)
+    assert packed[:, 0].tolist() == [0] * (5 - taken) + [1] * taken
+    assert grids == [] and probes == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_scale_hubs_skip_the_exact_route(monkeypatch, seed):
+    # every hub's whole queue certainly fits its cap at greedy scale
+    inst = random_instance(seed, 3000, 40, tight=True)
+    requests = greedy_step1(inst)
+    grids, probes = spy_exact_route(monkeypatch)
+    greedy_step2(inst, requests)
+    assert grids == [] and probes == []
+
+
+def reference_probes(inst, j):
+    """The bandwidths hub j probes in the reference's step 2, in order."""
+    bw, rates = inst.link_table.bandwidth_hz[:, j], inst.rates
+    queue = sorted(np.flatnonzero(reference_step1(inst)[:, j]),
+                   key=lambda i: (-float(rates[i]), bandwidth_key(bw[i]), i))
+    accepted: list[float] = []
+    probed = []
+    for i in queue:
+        if len(accepted) >= inst.hub_link_caps[j]:
+            break
+        probed.append(float(bw[i]))
+        if math.fsum(accepted + [float(bw[i])]) <= inst.hub_bandwidth_caps[j]:
+            accepted.append(float(bw[i]))
+    return probed
+
+
+@pytest.mark.parametrize("seed", [10, 14])
+def test_only_uncertified_hubs_probe_on_urban(monkeypatch, seed):
+    # urban seeds 10 and 14 each have two hubs whose queues certainly fit
+    # their caps and two whose queues may not; the second kind, and only
+    # it, probes, in the reference's order
+    inst = prepare_scenario(dataclasses.replace(table1_urban(), seed=seed)).instance
+    requests = greedy_step1(inst)
+    certified = []
+    for j in range(inst.n_hubs):
+        reach = math.fsum(inst.link_table.bandwidth_hz[requests == j + 1, j].tolist())
+        slack = reach * ((np.count_nonzero(requests) + 1) * 2.0**-52)
+        certified.append(reach + slack < inst.hub_bandwidth_caps[j])
+    assert certified.count(True) == certified.count(False) == 2
+    grids, probes = spy_exact_route(monkeypatch)
+    greedy_step2(inst, requests)
+    (units, scale), = grids
+    want = [b for j in range(inst.n_hubs) if not certified[j] for b in reference_probes(inst, j)]
+    assert want
+    assert [Fraction(u, scale) for _, u, _ in probes] == [Fraction(b) for b in want]
