@@ -14,8 +14,7 @@ from .channel import (ChannelParams, CoverageError, LinkTable,
 from .config import ConfigError, ScenarioConfig, load_config, table1_urban
 from .deployment import (DeploymentError, FleetPlan, Layout, PlacementError,
                          cells_per_hub, fleet_size, place_fleet)
-from .exact import (NodeBudgetExceeded, SizeGuardError, enumerate_all,
-                    solve_exact)
+from .exact import NodeBudgetExceeded, SizeGuardError, solve_exact
 from .geometry import HardCoreSpec, hardcore_thin, matern_type1, poisson_points
 from .harness import (PreparedScenario, RunResult, SeedSearchError,
                       complexity_sweep, prepare_scenario, run_scenario,
@@ -34,7 +33,7 @@ __all__ = [
     "ConfigError", "ScenarioConfig", "load_config", "table1_urban",
     "DeploymentError", "FleetPlan", "Layout", "PlacementError",
     "cells_per_hub", "fleet_size", "place_fleet",
-    "NodeBudgetExceeded", "SizeGuardError", "enumerate_all", "solve_exact",
+    "NodeBudgetExceeded", "SizeGuardError", "solve_exact",
     "HardCoreSpec", "hardcore_thin", "matern_type1", "poisson_points",
     "PreparedScenario", "RunResult", "SeedSearchError", "complexity_sweep",
     "prepare_scenario", "run_scenario", "seed_search", "sweep_constraints",

@@ -48,16 +48,15 @@ take the exact route above only for the hubs it cannot clear:
   addition needs no margin: rounding is monotone and the cap is a double,
   so t + slack < cap as computed holds exactly too; the exact sum is then
   below the cap, and fsum's rounding of it, and of any partial sum, at
-  most the cap. A clear hub also needs t < 2**1023, which keeps every
-  partial sum fsum forms inside the double range. A NaN or inf total is
-  never clear.
+  most the cap. A NaN or inf total is never clear.
 - Step 2 clears a hub on its whole queue: every probe of a clear hub fits,
   so it takes its first link-cap candidates with no grid, and all of them,
   unsorted, when they are no more than its link cap. A hub at, near or
   over its cap, or with an inf or NaN bandwidth, probes its queue one by
   one with `admit`, on one `exact_grid` built only when such a hub exists.
 - The checker clears a hub on its links, and gives each other hub
-  math.fsum of its links, so every verdict and printed total is fsum's.
+  math.fsum of its links, so every verdict and printed total is fsum's;
+  where fsum overflows, the total is inf, as `admit` rules.
 """
 
 import functools
@@ -227,9 +226,10 @@ def admit(used: int, units, limit: int | float) -> int | None:
     `used` is the int total of the accepted values and `units` the probed
     value's, both on one `exact_grid`, and `limit` is the cap's `grid_limit`
     on that grid. The value fits when math.fsum(accepted + [value]) <= cap,
-    and the verdict is exactly fsum's, except that a total past the double
-    range does not fit where fsum raises OverflowError. Special cases, kept
-    so that the total stays an exact int:
+    and the verdict is exactly fsum's, except where fsum raises
+    OverflowError: a total past the double range then fits an infinite cap
+    and no finite one. Special cases, kept so that the total stays an exact
+    int:
 
     - under an infinite cap every value but NaN fits;
     - a non-finite value never fits a finite cap (fsum gives inf or NaN;
@@ -283,7 +283,7 @@ def _certainly_fits(total: np.ndarray, caps: np.ndarray, n_terms: int) -> np.nda
     # 2(K + 1)u per magnitude sum, here the total, K the term count
     slack = total * ((n_terms + 1) * 2.0**-52)
     with np.errstate(over="ignore"):  # past the double range
-        return (total + slack < caps) & (total < 2.0**1023)
+        return total + slack < caps
 
 
 def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityReport:
@@ -312,7 +312,11 @@ def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityRe
     caps = inst.hub_bandwidth_caps
     total = np.bincount(cols, weights=bw, minlength=inst.n_hubs)
     for j in np.flatnonzero(~_certainly_fits(total, caps, len(flat))).tolist():
-        used, cap = math.fsum(bw[cols == j].tolist()), float(caps[j])
+        try:
+            used = math.fsum(bw[cols == j].tolist())
+        except OverflowError:  # past the double range: fits only an infinite cap
+            used = math.inf
+        cap = float(caps[j])
         if not used <= cap:  # a NaN total never fits, as in `admit`
             violated.append((CONSTRAINT_BANDWIDTH, f"hub {j}: {used:.6g} Hz > cap {cap:.6g} Hz"))
 

@@ -8,8 +8,8 @@ Subcommands:
   seed-search  scan master seeds for a target cell count
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 scenario
-infeasible (placement, fleet sizing, coverage, seed search), 4 solver guard
-tripped (node budget or enumeration size).
+infeasible (placement, fleet sizing, coverage, seed search), 4 the exact
+solver's node budget reached.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from .channel import CoverageError
 from .config import (CONSTRAINT_CHOICES, SOLVER_CHOICES, ConfigError,
                      ScenarioConfig, load_config, table1_urban)
 from .deployment import DeploymentError
-from .exact import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, SizeGuardError
+from .exact import DEFAULT_NODE_BUDGET, NodeBudgetExceeded
 from .harness import SeedSearchError, run_scenario, seed_search, sweep_constraints
 
 EXIT_OK = 0
@@ -120,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DeploymentError, CoverageError, SeedSearchError) as exc:
         print(f"scenario infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NodeBudgetExceeded, SizeGuardError) as exc:
+    except NodeBudgetExceeded as exc:
         print(f"solver guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     return EXIT_OK

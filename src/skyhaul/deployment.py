@@ -55,7 +55,6 @@ class Layout:
 class FleetPlan:
     """Record of the sizing arithmetic that produced a hub fleet."""
 
-    n_hubs: int
     per_hub_cell_cap: int
     avg_bandwidth_hz: float
     hub_min_sep_m: float

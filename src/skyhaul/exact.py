@@ -1,11 +1,10 @@
-"""Exact association solvers: depth-first branch and bound, plus a brute
-force enumerator kept to cross-check the search on small instances.
+"""Exact association solver: depth-first branch and bound.
 
 The search is one function: `solve_exact` keeps its state in local lists
 and ints and walks a plan built once, which holds per depth the cell, its
 demand and its admissible hubs with their bandwidths as grid units. It
 assigns cells one at a time, highest demanded rate first; each cell goes to
-an admissible hub with spare capacity (a frame pushed on an explicit stack)
+an admissible hub with room for it (a frame pushed on an explicit stack)
 or stays unassigned (the next pass of the loop). A leaf or a cut pops the
 last frame, whose cell resumes its hub scan where it stopped; nothing
 recurses, so no recursion limit applies. A subtree is cut when an
@@ -17,14 +16,11 @@ the headroom rounded down to a multiple of the gcd of their demands, since
 demands are whole bps. Rate totals are exact Python ints (below 2**53, so
 they equal the checker's fsum), and a whole total fits the backhaul cap iff
 it fits the cap's floor, so the backhaul test and the bound are int
-arithmetic. Each hub's bandwidth total is an exact int on one `exact_grid`
-of the admissible links (`ProblemInstance.admissible`), compared with its
-`grid_limit` as in greedy step 2; a non-finite unit is settled by `admit`'s
-rules when the plan is built.
-
-The enumerator has no capacity logic of its own beyond vectorised sums:
-its rate sums are exact, and a candidate whose float bandwidth sum lands
-near a hub's cap is re-judged by `check_feasible`.
+arithmetic. Each hub's bandwidth is judged on one `exact_grid` of the
+admissible links (`ProblemInstance.admissible`): the search keeps one room
+per hub, its `grid_limit` less its exact int total, and a link fits iff its
+unit is at most that room, as in greedy step 2's `admit`. The plan settles
+`admit`'s special cases once, so a probe is one comparison.
 """
 
 import math
@@ -34,15 +30,19 @@ from itertools import accumulate
 import numpy as np
 
 from .association import (AssociationMatrix, ProblemInstance, empty_association,
-                          admit, exact_grid, grid_limit, objective,
-                          solve_report)
-# perfbench/spans.py traces feasibility checks under this module's name
+                          admit, exact_grid, grid_limit, solve_report)
+# not used here: perfbench/spans.py traces feasibility checks under this
+# module's name
 from .association import check_feasible
 from .report import SolveReport
 
 
 class SizeGuardError(RuntimeError):
-    """Brute-force enumeration refused: the candidate space is too large."""
+    """Brute-force enumeration refused: the candidate space is too large.
+
+    Raised by the brute-force oracle the tests check the search against;
+    no solver in the package raises it.
+    """
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -57,8 +57,6 @@ class NodeBudgetExceeded(RuntimeError):
 
 
 DEFAULT_NODE_BUDGET = 100_000_000
-ENUMERATION_GUARD = 10_000_000
-_ENUM_CHUNK = 1 << 15
 
 
 def solve_exact(inst: ProblemInstance,
@@ -97,12 +95,17 @@ def solve_exact(inst: ProblemInstance,
     # one grid_limit per distinct cap (a fleet's hubs usually share one)
     limit_of = {c: grid_limit(c, scale) for c in dict.fromkeys(caps)}
     limits = [limit_of[c] for c in caps]
+    # a unit as the probe reads it, judged once by admit: NaN where it never
+    # fits (no comparison with NaN is true), and 0 where it fits an infinite
+    # cap, which never reads the total, so that cap's room stays inf
+    special = ~np.isfinite(bw) | np.isinf(inst.hub_bandwidth_caps).take(link_cols)
     link_cols = link_cols.tolist()
-    # a non-finite unit, judged once by admit: 0 where it fits and adds
-    # nothing (an infinite cap), None where it never fits
-    for k in np.flatnonzero(~np.isfinite(bw)).tolist():
-        units[k] = admit(0, units[k], limits[link_cols[k]])
-    free = inst.hub_link_caps.tolist()  # links each hub may take
+    for k in np.flatnonzero(special).tolist():
+        fits = admit(0, units[k], limits[link_cols[k]]) is not None
+        units[k] = 0 if fits else math.nan
+    free = inst.hub_link_caps.tolist()  # links each hub may still take
+    # grid units each hub has left, or -1 once its links run out
+    room = [limit if f else -1 for limit, f in zip(limits, free)]
     # each cell's admissible (hub, unit) pairs, hubs ascending
     hubs_of = [[] for _ in range(n)]
     for i, j, u in zip(link_rows.tolist(), link_cols, units):
@@ -111,7 +114,6 @@ def solve_exact(inst: ProblemInstance,
     plan = [(i, rates[i], hubs_of[i]) for i in order]
 
     assign = [-1] * n  # hub per cell, -1 for unassigned
-    used = [0] * m  # each hub's exact bandwidth total, grid units
     nodes = 0
     best = assign[:]
     best_value = 0
@@ -127,7 +129,7 @@ def solve_exact(inst: ProblemInstance,
 
     # one frame per assigned cell: (the iterator over its hub list, which
     # holds the scan's position, its depth, the running total before it, its
-    # hub, that hub's total before it)
+    # hub, that hub's room before it)
     stack = []
     push, pop = stack.append, stack.pop
     depth = running = 0
@@ -153,15 +155,15 @@ def solve_exact(inst: ProblemInstance,
                 best, best_value = assign[:], running
             if not stack:
                 break
-            scan, depth, running, j, used[j] = pop()
+            scan, depth, running, j, room[j] = pop()
             free[j] += 1
             cell, rate, _ = plan[depth]
             assign[cell] = -1
         for j, u in scan:
-            if free[j] and u is not None and used[j] + u <= limits[j]:
-                push((scan, depth, running, j, used[j]))
-                used[j] += u
+            if u <= room[j]:
+                push((scan, depth, running, j, room[j]))
                 free[j] -= 1
+                room[j] = room[j] - u if free[j] else -1
                 assign[cell] = j
                 running += rate
                 break
@@ -171,73 +173,3 @@ def solve_exact(inst: ProblemInstance,
     if nodes >= node_budget:
         raise NodeBudgetExceeded(nodes, a, best_value)
     return a, solve_report(inst, rows, cols, "exact", time.perf_counter() - t0, nodes, nodes)
-
-
-def enumerate_all(inst: ProblemInstance) -> tuple[AssociationMatrix, float]:
-    """Brute force over every single-association candidate, for cross-checks.
-
-    Each cell independently picks one of the hubs or stays out, giving
-    (n_hubs + 1) ** n_cells candidates; refuses to run past the guard.
-    Candidates are judged in vectorised chunks. Their rate sums are exact
-    (whole bps below 2**53), so the backhaul test is the checker's verdict;
-    a hub's bandwidth sum may round, though for nonnegative terms by far
-    less than a relative 1e-9, so a candidate whose sum lands within that
-    band of the cap of a hub it picks gets check_feasible's verdict instead
-    (a hub it leaves empty sums to exactly 0).
-    The best feasible candidate is returned with its objective recomputed by
-    the shared objective routine so comparisons against the search are exact.
-    """
-    n, m = inst.n_cells, inst.n_hubs
-    total = (m + 1) ** n
-    if total > ENUMERATION_GUARD:
-        raise SizeGuardError(f"{total} candidates exceed the {ENUMERATION_GUARD} guard")
-
-    rates = inst.rates.astype(float)
-    bw = inst.link_table.bandwidth_hz
-    sinr_ok = inst.link_table.sinr_db >= inst.sinr_min_db
-    # choice value m means "unassigned"; append a zero-cost phantom hub
-    bw_ext = np.concatenate([bw, np.zeros((n, 1))], axis=1)
-    ok_ext = np.concatenate([sinr_ok, np.ones((n, 1), dtype=bool)], axis=1)
-    rate_ext = np.concatenate([np.repeat(rates[:, None], m, axis=1),
-                               np.zeros((n, 1))], axis=1)
-    cell_idx = np.arange(n)
-
-    def matrix(choice: np.ndarray) -> AssociationMatrix:
-        a = empty_association(n, m)
-        picked = choice < m
-        a[cell_idx[picked], choice[picked]] = 1
-        return a
-
-    # the empty candidate, the last code, is always feasible and replaces these
-    best_val, best_choice = -1.0, None
-    radix = m + 1
-    for start in range(0, total, _ENUM_CHUNK):
-        codes = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        digits = np.empty((codes.size, n), dtype=np.int64)
-        for i in range(n):
-            digits[:, i] = codes % radix
-            codes //= radix
-        admitted = ok_ext[cell_idx, digits].all(axis=1)
-        vals = rate_ext[cell_idx, digits].sum(axis=1)
-        feasible = admitted & (vals <= inst.backhaul_cap_bps)
-        band = np.zeros(codes.size, dtype=bool)
-        for j in range(m):
-            picked = digits == j
-            feasible &= picked.sum(axis=1) <= int(inst.hub_link_caps[j])
-            used = np.where(picked, bw_ext[cell_idx, digits], 0.0).sum(axis=1)
-            cap_j = float(inst.hub_bandwidth_caps[j])
-            feasible &= used <= cap_j
-            if math.isfinite(cap_j):
-                near = np.abs(used - cap_j) <= 1e-9 * max(1.0, cap_j)
-                band |= near & picked.any(axis=1)
-        for k in np.flatnonzero(band & admitted):
-            feasible[k] = check_feasible(inst, matrix(digits[k])).ok
-        if feasible.any():
-            sub = np.flatnonzero(feasible)
-            k = sub[np.argmax(vals[sub])]
-            if vals[k] > best_val:
-                best_val = float(vals[k])
-                best_choice = digits[k]
-
-    a = matrix(best_choice)
-    return a, objective(inst, a)

@@ -138,7 +138,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
                               f"of pl_max_db = {cfg.pl_max_db!r}", exc) from exc
     layout = Layout(cells=cells, rates=rates, hubs=hubs)
 
-    fleet = FleetPlan(n_hubs=n_hubs, per_hub_cell_cap=per_hub_cap,
+    fleet = FleetPlan(per_hub_cell_cap=per_hub_cap,
                       avg_bandwidth_hz=mean_bandwidth_hz(rate_list, cfg.avg_spec_eff),
                       hub_min_sep_m=hub_min_sep)
 

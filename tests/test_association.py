@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import make_instance
-from skyhaul.association import (_links, check_feasible, empty_association,
-                                 admit, exact_grid, greedy_step1, greedy_step2,
-                                 greedy_step3, grid_limit, objective,
-                                 solve_greedy)
+from skyhaul.association import (_certainly_fits, _links, check_feasible,
+                                 empty_association, admit, exact_grid,
+                                 greedy_step1, greedy_step2, greedy_step3,
+                                 grid_limit, objective, solve_greedy)
 from skyhaul.exact import solve_exact
+from skyhaul.harness import solve_verified
 from skyhaul.instances import random_instance
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -138,6 +139,34 @@ class TestCheckFeasible:
             ("bandwidth", f"hub 0: nan Hz > cap {cap:.6g} Hz")]
         for a, _ in (solve_greedy(inst), solve_exact(inst)):
             assert a.sum() == 0
+
+    @pytest.mark.parametrize("cap", [math.inf, 1.7e308])
+    def test_total_past_double_range(self, cap):
+        # three 6e307 Hz links sum past the largest double, where fsum
+        # overflows: the total fits an infinite cap and no finite one, as in
+        # `admit`, so the solvers carry all three cells or two
+        inst = make_instance([[10.0]] * 3, [[6e307]] * 3, [1.0, 2.0, 3.0],
+                             hub_bandwidth_cap_hz=cap, hub_link_cap=3)
+        report = check_feasible(inst, np.ones((3, 1), dtype=np.int8))
+        if cap == math.inf:
+            assert report.ok
+        else:
+            assert report.violated == [("bandwidth", "hub 0: inf Hz > cap 1.7e+308 Hz")]
+        carried = 3 if cap == math.inf else 2
+        solved = solve_verified(inst, "both", 0, 1000)
+        for method in ("greedy", "exact"):
+            a, verified = solved[method]
+            assert verified.feasible and a.sum() == carried
+
+    def test_total_past_2_1023_certainly_fits(self):
+        # float totals of at least 2**1023 clear a cap above them, finite
+        # or not, and nothing clears a cap at or below them
+        total = np.array([1.2e308, 1.2e308, 1.2e308, 9e307])
+        caps = np.array([math.inf, 1.7e308, 1.2e308, 9e307])
+        assert _certainly_fits(total, caps, 2).tolist() == [True, True, False, False]
+        inst = make_instance([[10.0]] * 2, [[6e307]] * 2, [1.0, 2.0],
+                             hub_bandwidth_cap_hz=1.7e308)
+        assert check_feasible(inst, np.ones((2, 1), dtype=np.int8)).ok
 
     def test_double_association_detected(self):
         inst = make_instance([[10.0, 10.0]], [[1e6, 1e6]], [30e6])

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import make_instance
+from _oracle import enumerate_all
 from skyhaul import exact
 from skyhaul.association import check_feasible, objective, solve_greedy
 from skyhaul.config import ScenarioConfig
-from skyhaul.exact import (NodeBudgetExceeded, SizeGuardError, enumerate_all,
-                           solve_exact)
+from skyhaul.exact import NodeBudgetExceeded, SizeGuardError, solve_exact
 from skyhaul.harness import prepare_scenario, relax_to_qos_only
 from skyhaul.instances import RATE_MENU_BPS, random_instance
 
@@ -108,7 +108,7 @@ class TestEnumerateAll:
         # a hub that a candidate leaves empty sums to exactly 0, so a 0 cap
         # on hub 0 must not put every such candidate in the near-cap band
         calls = []
-        monkeypatch.setattr(exact, "check_feasible",
+        monkeypatch.setattr("_oracle.check_feasible",
                             lambda inst, a: calls.append(1) or check_feasible(inst, a))
         base = random_instance(1, n_cells=8, n_hubs=3, tight=True)
         enumerate_all(base)

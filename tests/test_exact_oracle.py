@@ -168,12 +168,37 @@ def edge_instance(seed: int, family: str):
         caps = inst.hub_bandwidth_caps.copy()
         caps[seed % inst.n_hubs] = 0.0
         return dataclasses.replace(inst, hub_bandwidth_caps=caps)
+    if family == "zero-link-cap":
+        link_caps = inst.hub_link_caps.copy()
+        link_caps[seed % inst.n_hubs] = 0
+        return dataclasses.replace(inst, hub_link_caps=link_caps)
+    if family == "zero-bw-zero-cap":
+        # zero-bandwidth links on a hub whose cap is 0 fit it, 0 <= 0; the
+        # hub's other links never do
+        j = seed % inst.n_hubs
+        caps = inst.hub_bandwidth_caps.copy()
+        caps[j] = 0.0
+        bw = inst.link_table.bandwidth_hz.copy()
+        bw[::2, j] = 0.0
+        table = dataclasses.replace(inst.link_table, bandwidth_hz=bw)
+        return dataclasses.replace(inst, link_table=table, hub_bandwidth_caps=caps)
+    if family == "one-inf-hub-cap":
+        # an infinite cap beside finite ones, with an inf bandwidth that
+        # fits only that cap
+        caps = inst.hub_bandwidth_caps.copy()
+        caps[seed % inst.n_hubs] = math.inf
+        return with_bandwidth(dataclasses.replace(inst, hub_bandwidth_caps=caps),
+                              math.inf, seed)
+    if family == "wide-bw":
+        # a subnormal and a 1e300 Hz bandwidth: units past the double range
+        return with_bandwidth(with_bandwidth(inst, 5e-324, seed), 1e300, seed + 1)
     value = {"inf-bw": math.inf, "nan-bw": math.nan, "zero-bw": 0.0}[family]
     return with_bandwidth(inst, value, seed)
 
 
 FAMILIES = ["all", "qos-only", "inf-backhaul", "zero-backhaul", "zero-hub-cap",
-            "inf-bw", "nan-bw", "zero-bw"]
+            "inf-bw", "nan-bw", "zero-bw", "zero-link-cap", "zero-bw-zero-cap",
+            "one-inf-hub-cap", "wide-bw"]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -182,10 +207,10 @@ def test_matches_reference_on_edge_instances(family):
         assert_matches_reference(edge_instance(seed, family))
 
 
-@pytest.mark.parametrize("family", ["inf-bw", "nan-bw", "zero-bw"])
+@pytest.mark.parametrize("family", ["inf-bw", "nan-bw", "zero-bw", "wide-bw"])
 def test_matches_reference_on_relaxed_edge_instances(family):
     # under an infinite hub cap an inf or zero bandwidth fits and adds
-    # nothing; NaN still never fits
+    # nothing; NaN still never fits; a unit past the double range fits
     for seed in range(100):
         assert_matches_reference(relax_to_qos_only(edge_instance(seed, family)))
 

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import enumerate_all
 from skyhaul import harness
 from skyhaul.association import ProblemInstance, check_feasible, solve_greedy
 from skyhaul.channel import LinkTable, path_loss_db
 from skyhaul.cli import main
 from skyhaul.config import table1_urban
-from skyhaul.exact import DEFAULT_NODE_BUDGET, enumerate_all, solve_exact
+from skyhaul.exact import DEFAULT_NODE_BUDGET, solve_exact
 from skyhaul.harness import (SeedSearchError, SolutionRejectedError,
                              complexity_sweep, draw_cells, draw_rates,
                              prepare_scenario, relax_to_qos_only, run_scenario,
@@ -33,7 +34,7 @@ class TestPrepare:
     def test_case_study_shape(self):
         prep = prepare_scenario(CASE_STUDY)
         assert len(prep.layout.cells) == 28
-        assert prep.fleet.n_hubs == 4
+        assert len(prep.layout.hubs) == 4
         assert prep.instance.link_table.pl_db.shape == (28, 4)
         assert np.isfinite(prep.instance.link_table.sinr_db).all()
 
