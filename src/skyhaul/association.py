@@ -27,11 +27,11 @@ rates as doubles for that reason: a hub carries each cell at most once, so
 its rate total and every prefix sum of its sorted rates are partial sums of
 distinct demands, exact whatever the summation order; the running total
 across hubs stays a Python int. Bandwidths are arbitrary doubles, so the
-solvers keep each hub's bandwidth total as an exact int too: `exact_grid`
-puts the bandwidths on one power-of-two grid, `grid_limit` finds once per
-distinct cap the largest int total whose quotient by the grid scale is at
-most the cap, and a total fits iff it is at most that limit. Int/int true
-division is correctly rounded, as fsum is, so the verdict equals the
+solvers judge bandwidth in exact ints too, by one probe rule,
+`bandwidth_probes`: the bandwidths go on one power-of-two grid, each hub's
+room starts at the largest int total whose quotient by the grid scale is
+at most its cap, and a link fits iff its unit is at most that room. Int/int
+true division is correctly rounded, as fsum is, so the verdict equals the
 checker's fsum verdict and no verdict depends on accumulation order.
 
 Step 2 and the checker share one float certificate, `_certainly_fits`, and
@@ -53,10 +53,10 @@ take the exact route above only for the hubs it cannot clear:
   so it takes its first link-cap candidates with no grid, and all of them,
   unsorted, when they are no more than its link cap. A hub at, near or
   over its cap, or with an inf or NaN bandwidth, probes its queue one by
-  one with `admit`, on one `exact_grid` built only when such a hub exists.
+  one with `unit <= room`, on probes found only when such a hub exists.
 - The checker clears a hub on its links, and gives each other hub
   math.fsum of its links, so every verdict and printed total is fsum's;
-  where fsum overflows, the total is inf, as `admit` rules.
+  where fsum overflows, the total is inf, as the solvers' probes rule.
 """
 
 import functools
@@ -98,7 +98,7 @@ class ProblemInstance:
         if self.hub_bandwidth_caps.shape != (m,) or self.hub_link_caps.shape != (m,):
             raise ValueError("per-hub cap vectors must match the link table's hub count")
         # caps and bandwidths are nonnegative or inf, inf meaning no cap or a
-        # link no finite cap admits; only a bandwidth may be NaN (see `admit`)
+        # link no finite cap admits; only a bandwidth may be NaN, fitting no cap
         for name in ("backhaul_cap_bps", "hub_bandwidth_caps"):
             if not np.all(getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be nonnegative or inf")
@@ -174,7 +174,7 @@ def exact_grid(values: np.ndarray) -> tuple[list, int]:
 
     Returns (units, scale) with values[k] == units[k] / scale exactly for
     every finite value, subnormals included: units are Python ints, so sums
-    of them never round. Non-finite values come back as floats; see `admit`.
+    of them never round; non-finite values come back as floats.
     """
     finite = np.isfinite(values)
     mant, exp = np.frexp(np.where(finite, values, 0.0))
@@ -198,7 +198,7 @@ def exact_grid(values: np.ndarray) -> tuple[list, int]:
 
 
 def grid_limit(cap: float, scale: int) -> int | float:
-    """The largest int total t with t / scale <= cap, for `admit`.
+    """The largest int total t with t / scale <= cap: a hub's first room.
 
     On an `exact_grid` of this scale, a total fits the cap iff it is at most
     the limit. An infinite cap comes back as is: every int is below it, as
@@ -219,27 +219,28 @@ def grid_limit(cap: float, scale: int) -> int | float:
     return t if on_cap_side else t - 1
 
 
-def admit(used: int, units, limit: int | float) -> int | None:
-    """Exact bandwidth packing: the new total if the probed value fits, else
-    None.
+def bandwidth_probes(bw: np.ndarray, cols: np.ndarray,
+                     hub_caps: np.ndarray) -> tuple[list, list]:
+    """Exact bandwidth packing: each link's probe unit and each hub's room.
 
-    `used` is the int total of the accepted values and `units` the probed
-    value's, both on one `exact_grid`, and `limit` is the cap's `grid_limit`
-    on that grid. The value fits when math.fsum(accepted + [value]) <= cap,
-    and the verdict is exactly fsum's, except where fsum raises
-    OverflowError: a total past the double range then fits an infinite cap
-    and no finite one. Special cases, kept so that the total stays an exact
-    int:
-
-    - under an infinite cap every value but NaN fits;
-    - a non-finite value never fits a finite cap (fsum gives inf or NaN;
-      ProblemInstance refuses a -inf bandwidth), and where it fits an
-      infinite cap it adds nothing to the total, which that cap never reads.
+    `bw` holds the links' bandwidths, `cols` their hubs and `hub_caps` the
+    caps. A link fits iff its unit is at most its hub's room, which then
+    loses the unit: the links so accepted on a hub are those with
+    math.fsum(accepted) <= cap, a total past the double range (where fsum
+    raises OverflowError) fitting an infinite cap and no finite one.
+    Units are the bandwidths on one `exact_grid`, and rooms start at their
+    cap's `grid_limit`, found once per distinct cap. The special cases are
+    settled here: a unit that never fits is NaN, which no comparison
+    passes (a NaN bandwidth, or an inf one under a finite cap), and under
+    an infinite cap every other unit is 0, so that room stays inf.
     """
-    if type(units) is float:
-        return used if limit == math.inf and units == units else None
-    total = used + units
-    return total if total <= limit else None
+    units, scale = exact_grid(bw)
+    caps = hub_caps.tolist()
+    limit_of = {c: grid_limit(c, scale) for c in dict.fromkeys(caps)}
+    uncapped = np.isinf(hub_caps).take(cols)
+    for k in np.flatnonzero(uncapped | ~np.isfinite(bw)).tolist():
+        units[k] = 0 if uncapped[k] and bw[k] == bw[k] else math.nan
+    return units, [limit_of[c] for c in caps]
 
 
 def _check_dims(inst: ProblemInstance, a: AssociationMatrix):
@@ -317,7 +318,7 @@ def check_feasible(inst: ProblemInstance, a: AssociationMatrix) -> FeasibilityRe
         except OverflowError:  # past the double range: fits only an infinite cap
             used = math.inf
         cap = float(caps[j])
-        if not used <= cap:  # a NaN total never fits, as in `admit`
+        if not used <= cap:  # a NaN total never fits, as no NaN unit does
             violated.append((CONSTRAINT_BANDWIDTH, f"hub {j}: {used:.6g} Hz > cap {cap:.6g} Hz"))
 
     bad = np.flatnonzero(~(inst.link_table.sinr_db.take(flat) >= inst.sinr_min_db))
@@ -350,7 +351,7 @@ def greedy_step1(inst: ProblemInstance, ops: OpCounter | None = None) -> np.ndar
     ops = ops or OpCounter()
     n, m = inst.n_cells, inst.n_hubs
     requests = np.zeros(n, dtype=np.min_scalar_type(m))
-    if n:
+    if n and m:
         sinr = inst.link_table.sinr_db
         best = np.argmax(sinr, axis=1)  # first occurrence wins ties
         admitted = sinr.take(best + np.arange(0, n * m, m)) >= inst.sinr_min_db
@@ -377,8 +378,8 @@ def greedy_step2(inst: ProblemInstance, requests: np.ndarray,
     min(count, link cap) candidates at once: all of them, with no sort,
     when the count is at most the link cap. The other hubs' requests are
     queued by hub once. Every hub not certified probes its whole queue one
-    by one with `admit`, on one `exact_grid` over the queued bandwidths,
-    built only when such a hub exists.
+    by one with `unit <= room`, on `bandwidth_probes` of the queued links,
+    found only when such a hub exists.
     """
     ops = ops or OpCounter()
     m = inst.n_hubs
@@ -410,22 +411,17 @@ def greedy_step2(inst: ProblemInstance, requests: np.ndarray,
     # every other hub with candidates and links probes its queue one by one
     tail = [j for j, f in enumerate(fits.tolist()) if not f and min(counts[j], link_caps[j])]
     if tail:
-        exact, scale = exact_grid(bw.take(queued))
-        caps = inst.hub_bandwidth_caps.tolist()
-        # one grid_limit per distinct cap (a fleet's hubs usually share one)
-        limits = {c: grid_limit(c, scale) for c in dict.fromkeys(caps[j] for j in tail)}
+        units, rooms = bandwidth_probes(bw.take(queued), cols, inst.hub_bandwidth_caps)
         probed: list[int] = []  # queue positions accepted one by one
         for j in tail:
-            limit, link_cap = limits[caps[j]], link_caps[j]
-            used = links = 0
+            room, free = rooms[j], link_caps[j]
             for k in range(starts[j], starts[j] + counts[j]):
-                if links >= link_cap:
+                if not free:
                     break
                 probes[j] += 1
-                total = admit(used, exact[k], limit)
-                if total is not None:
+                if units[k] <= room:
                     probed.append(k)
-                    used, links = total, links + 1
+                    room, free = room - units[k], free - 1
         taken[queued.take(probed)] = True
     # probe k scans the count - k remaining candidates, plus 2
     ops.add(sum(p * (c + 2) - p * (p - 1) // 2 for p, c in zip(probes, counts)))

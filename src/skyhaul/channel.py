@@ -180,7 +180,7 @@ def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
     Each cell demands the same rate from every hub, so the bandwidth demand
     of pair (i, j) is rate_i / spec_eff_ij. Where the SINR is so small that
     log2(1 + sinr) rounds to 0, that demand is inf: the link carries
-    nothing, and `admit` refuses it under any finite bandwidth cap.
+    nothing, and no finite bandwidth cap admits it (`bandwidth_probes`).
 
     The interference at cell i on hub j is row i's total received power
     minus rx_ij, the total being math.fsum's exactly rounded row sum, so no

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import sys
 import time
+from pathlib import Path
 
 from .channel import CoverageError
 from .config import (CONSTRAINT_CHOICES, SOLVER_CHOICES, ConfigError,
@@ -37,6 +38,14 @@ def _add_common(p: argparse.ArgumentParser):
                    help="override the scenario master seed")
 
 
+def _out_dir(value: str) -> str:
+    """--out, refused before any work if it names a file or lies below one."""
+    found = next((p for p in (Path(value), *Path(value).parents) if p.exists()), None)
+    if found and not found.is_dir():
+        raise argparse.ArgumentTypeError(f"{found} is not a directory")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skyhaul",
@@ -45,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one scenario end to end")
     _add_common(run)
-    run.add_argument("--out", required=True, metavar="DIR",
+    run.add_argument("--out", required=True, metavar="DIR", type=_out_dir,
                      help="directory for run artifacts")
     run.add_argument("--solver", choices=SOLVER_CHOICES,
                      help="which solver(s) to run (default from config)")
@@ -57,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep",
                            help="solve under qos-only and all constraints")
     _add_common(sweep)
-    sweep.add_argument("--out", required=True, metavar="DIR")
+    sweep.add_argument("--out", required=True, metavar="DIR", type=_out_dir)
     sweep.add_argument("--solver", choices=SOLVER_CHOICES, default="both")
 
     search = sub.add_parser("seed-search",

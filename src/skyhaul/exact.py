@@ -16,11 +16,10 @@ the headroom rounded down to a multiple of the gcd of their demands, since
 demands are whole bps. Rate totals are exact Python ints (below 2**53, so
 they equal the checker's fsum), and a whole total fits the backhaul cap iff
 it fits the cap's floor, so the backhaul test and the bound are int
-arithmetic. Each hub's bandwidth is judged on one `exact_grid` of the
-admissible links (`ProblemInstance.admissible`): the search keeps one room
-per hub, its `grid_limit` less its exact int total, and a link fits iff its
-unit is at most that room, as in greedy step 2's `admit`. The plan settles
-`admit`'s special cases once, so a probe is one comparison.
+arithmetic. Each hub's bandwidth is judged as in greedy step 2, on
+`bandwidth_probes` of the admissible links (`ProblemInstance.admissible`):
+the search keeps one room per hub, -1 once its links run out, and a link
+fits iff its unit is at most that room, one comparison.
 """
 
 import math
@@ -29,8 +28,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .association import (AssociationMatrix, ProblemInstance, empty_association,
-                          admit, exact_grid, grid_limit, solve_report)
+from .association import (AssociationMatrix, ProblemInstance, bandwidth_probes,
+                          empty_association, solve_report)
 # not used here: perfbench/spans.py traces feasibility checks under this
 # module's name
 from .association import check_feasible
@@ -89,26 +88,14 @@ def solve_exact(inst: ProblemInstance,
     top = math.floor(min(cap, suffix_sum[0]))
     # only the admissible links are gridded and planned
     flat, link_rows, link_cols = inst.admissible
-    bw = inst.link_table.bandwidth_hz.take(flat)
-    units, scale = exact_grid(bw)
-    caps = inst.hub_bandwidth_caps.tolist()
-    # one grid_limit per distinct cap (a fleet's hubs usually share one)
-    limit_of = {c: grid_limit(c, scale) for c in dict.fromkeys(caps)}
-    limits = [limit_of[c] for c in caps]
-    # a unit as the probe reads it, judged once by admit: NaN where it never
-    # fits (no comparison with NaN is true), and 0 where it fits an infinite
-    # cap, which never reads the total, so that cap's room stays inf
-    special = ~np.isfinite(bw) | np.isinf(inst.hub_bandwidth_caps).take(link_cols)
-    link_cols = link_cols.tolist()
-    for k in np.flatnonzero(special).tolist():
-        fits = admit(0, units[k], limits[link_cols[k]]) is not None
-        units[k] = 0 if fits else math.nan
+    units, rooms = bandwidth_probes(inst.link_table.bandwidth_hz.take(flat), link_cols,
+                                    inst.hub_bandwidth_caps)
     free = inst.hub_link_caps.tolist()  # links each hub may still take
     # grid units each hub has left, or -1 once its links run out
-    room = [limit if f else -1 for limit, f in zip(limits, free)]
+    room = [r if f else -1 for r, f in zip(rooms, free)]
     # each cell's admissible (hub, unit) pairs, hubs ascending
     hubs_of = [[] for _ in range(n)]
-    for i, j, u in zip(link_rows.tolist(), link_cols, units):
+    for i, j, u in zip(link_rows.tolist(), link_cols.tolist(), units):
         hubs_of[i].append((j, u))
     # per depth: the cell, its demand and its admissible pairs
     plan = [(i, rates[i], hubs_of[i]) for i in order]

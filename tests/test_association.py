@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import make_instance
-from skyhaul.association import (_certainly_fits, _links, check_feasible,
-                                 empty_association, admit, exact_grid,
+from skyhaul.association import (_certainly_fits, _links, bandwidth_probes,
+                                 check_feasible, empty_association, exact_grid,
                                  greedy_step1, greedy_step2, greedy_step3,
                                  grid_limit, objective, solve_greedy)
 from skyhaul.exact import solve_exact
@@ -143,8 +143,8 @@ class TestCheckFeasible:
     @pytest.mark.parametrize("cap", [math.inf, 1.7e308])
     def test_total_past_double_range(self, cap):
         # three 6e307 Hz links sum past the largest double, where fsum
-        # overflows: the total fits an infinite cap and no finite one, as in
-        # `admit`, so the solvers carry all three cells or two
+        # overflows: the total fits an infinite cap and no finite one, as the
+        # solvers' probes rule, so they carry all three cells or two
         inst = make_instance([[10.0]] * 3, [[6e307]] * 3, [1.0, 2.0, 3.0],
                              hub_bandwidth_cap_hz=cap, hub_link_cap=3)
         report = check_feasible(inst, np.ones((3, 1), dtype=np.int8))
@@ -232,21 +232,25 @@ class TestExactBandwidthVerdict:
            st.data())
     @settings(max_examples=500, deadline=None)
     def test_matches_fsum_of_accepted_plus_probe(self, values, data):
-        finite = [v for v in values if math.isfinite(v)]
-        k = data.draw(st.integers(min_value=0, max_value=len(finite)))
-        tie = math.fsum(finite[:k])
-        cap = data.draw(st.sampled_from([
-            tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf),
-            math.inf, finite[0] if finite else 0.0]))
-        units, scale = exact_grid(np.asarray(values))
-        limit = grid_limit(cap, scale)
-        used, accepted = 0, []
-        for v, u in zip(values, units):
-            total = admit(used, u, limit)
-            assert (total is not None) == (math.fsum(accepted + [v]) <= cap)
-            if total is not None:
-                accepted.append(v)
-                used = total
+        # links on two hubs, each capped at a partial fsum of its finite
+        # links or an ulp either side, at inf, or at its first link
+        cols = data.draw(st.lists(st.integers(0, 1), min_size=len(values),
+                                  max_size=len(values)))
+        caps = []
+        for j in (0, 1):
+            finite = [v for v, c in zip(values, cols) if c == j and math.isfinite(v)]
+            tie = math.fsum(finite[:data.draw(st.integers(0, len(finite)))])
+            caps.append(data.draw(st.sampled_from([
+                tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf),
+                math.inf, finite[0] if finite else 0.0])))
+        units, rooms = bandwidth_probes(np.asarray(values), np.asarray(cols), np.asarray(caps))
+        accepted = [[], []]
+        for v, j, u in zip(values, cols, units):
+            fits = u <= rooms[j]
+            assert fits == (math.fsum(accepted[j] + [v]) <= caps[j])
+            if fits:
+                accepted[j].append(v)
+                rooms[j] -= u
 
     @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                      st.just(sys.float_info.max)),
@@ -262,13 +266,25 @@ class TestExactBandwidthVerdict:
             pass
 
     def test_total_past_double_range_does_not_fit(self):
-        # fsum raises OverflowError on this sum; admit refuses the probe
-        cap = sys.float_info.max
-        units, scale = exact_grid(np.array([cap, cap]))
-        limit = grid_limit(cap, scale)
-        used = admit(0, units[0], limit)
-        assert used is not None
-        assert admit(used, units[1], limit) is None
+        # fsum raises OverflowError on this sum, read as an inf total: the
+        # second link fits the infinite cap of hub 1, not the largest double
+        big = sys.float_info.max
+        with pytest.raises(OverflowError):
+            math.fsum([big, big])
+        units, rooms = bandwidth_probes(np.array([big] * 4), np.array([0, 0, 1, 1]),
+                                        np.array([big, math.inf]))
+        assert units[0] <= rooms[0] and not units[1] <= rooms[0] - units[0]
+        assert units[2] <= rooms[1] and units[3] <= rooms[1] - units[2]
+
+    def test_units_that_never_fit_are_nan(self):
+        # a NaN link fits no cap and an inf link no finite one; under an
+        # infinite cap every other unit is 0, and the room is inf
+        bw = np.array([math.nan, math.inf, 1.0] * 2)
+        units, rooms = bandwidth_probes(bw, np.array([0] * 3 + [1] * 3), np.array([2.0, math.inf]))
+        assert [math.isnan(u) for u in units] == [True, True, False, True, False, False]
+        assert 2 * units[2] <= rooms[0] < 3 * units[2]  # two 1.0 Hz links fit 2.0 Hz
+        assert units[4:] == [0, 0]
+        assert rooms[1] == math.inf
 
     @given(st.lists(_BANDWIDTHS, min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)

@@ -58,9 +58,9 @@ class TestSolveExactSmall:
         assert flat.tolist() == ok.ravel().nonzero()[0].tolist()
         assert view_rows.tolist() == rows.tolist() and view_cols.tolist() == cols.tolist()
         gridded = []
-        grid = exact.exact_grid
-        monkeypatch.setattr(exact, "exact_grid",
-                            lambda values: gridded.append(len(values)) or grid(values))
+        probes = exact.bandwidth_probes
+        monkeypatch.setattr(exact, "bandwidth_probes",
+                            lambda bw, *caps: gridded.append(len(bw)) or probes(bw, *caps))
         solve_exact(inst)
         assert 0 < len(rows) < inst.n_cells * inst.n_hubs // 4
         assert gridded == [len(rows)]

@@ -2,9 +2,12 @@
 replaced.
 
 `reference_exact` is that recursive `solve_exact`, unedited apart from its
-name and its report call, which now passes the matrix's links: one nested
-`dfs` per assigned cell, each probe judged by `admit`, the backhaul compared
-as a float. Matrix, node count, sum rate and any NodeBudgetExceeded (count,
+name, its report call, which now passes the matrix's links, and its
+bandwidth probe: one nested `dfs` per assigned cell, the backhaul compared
+as a float, and a link fitting its hub when math.fsum of the hub's accepted
+bandwidths plus its own is at most the cap (a sum past the double range
+reading as inf), so no bandwidth verdict uses the solvers' grid code.
+Matrix, node count, sum rate and any NodeBudgetExceeded (count,
 incumbent, value) must match exactly, at several budgets, on edge instances
 and on placed seeds of the default preset. Each solver's report must also
 be the one `solve_report` builds from its matrix's links.
@@ -18,9 +21,8 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from skyhaul.association import (AssociationMatrix, ProblemInstance, admit,
-                                 empty_association, exact_grid, grid_limit,
-                                 solve_greedy, solve_report)
+from skyhaul.association import (AssociationMatrix, ProblemInstance,
+                                 empty_association, solve_greedy, solve_report)
 from skyhaul.config import ScenarioConfig
 from skyhaul.deployment import PlacementError
 from skyhaul.exact import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, solve_exact
@@ -57,13 +59,13 @@ def reference_exact(inst: ProblemInstance,
     suffix_gcd = list(accumulate(tail_rates, math.gcd, initial=0))[::-1]
     admissible = [np.flatnonzero(row).tolist()
                   for row in inst.link_table.sinr_db >= inst.sinr_min_db]
-    units, scale = exact_grid(inst.link_table.bandwidth_hz.ravel())
+    bw = inst.link_table.bandwidth_hz
     link_caps = inst.hub_link_caps.tolist()
-    limits = [grid_limit(c, scale) for c in inst.hub_bandwidth_caps.tolist()]
+    band_caps = inst.hub_bandwidth_caps.tolist()
 
     assign = [-1] * n  # hub per cell, -1 for unassigned
     links = [0] * m
-    used = [0] * m  # each hub's exact bandwidth total, grid units
+    accepted = [[] for _ in range(m)]  # each hub's accepted bandwidths, Hz
     nodes = 0
     best = assign[:]
     best_value = 0
@@ -74,6 +76,13 @@ def reference_exact(inst: ProblemInstance,
             if j >= 0:
                 a[i, j] = 1
         return a
+
+    def fits(j: int, b: float) -> bool:
+        try:
+            used = math.fsum(accepted[j] + [b])
+        except OverflowError:  # past the double range: fits only an infinite cap
+            used = math.inf
+        return used <= band_caps[j]  # a NaN total never fits
 
     def dfs(depth: int, running: int):
         nonlocal nodes, best, best_value
@@ -101,17 +110,15 @@ def reference_exact(inst: ProblemInstance,
             i = order[depth]
             rate = rates[i]
             for j in admissible[i]:
-                total = None
-                if links[j] < link_caps[j] and running + rate <= cap:
-                    total = admit(used[j], units[i * m + j], limits[j])
-                if total is None:
+                b = float(bw[i, j])
+                if not (links[j] < link_caps[j] and running + rate <= cap and fits(j, b)):
                     nodes += 1
                     continue
-                saved, used[j] = used[j], total
+                accepted[j].append(b)
                 assign[i] = j
                 links[j] += 1
                 dfs(depth + 1, running + rate)
-                used[j] = saved
+                accepted[j].pop()
                 links[j] -= 1
                 assign[i] = -1
             depth += 1

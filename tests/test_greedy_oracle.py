@@ -12,7 +12,6 @@ must be what the next step would otherwise read off a matrix.
 import dataclasses
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ def reference_step1(inst):
     argmax hub when that SINR clears the threshold."""
     sinr = inst.link_table.sinr_db
     candidates = np.zeros(sinr.shape, dtype=np.int8)
-    for i in range(inst.n_cells):
+    for i in range(inst.n_cells if inst.n_hubs else 0):  # no hub to request
         j = int(np.argmax(sinr[i]))
         if sinr[i, j] >= inst.sinr_min_db:
             candidates[i, j] = 1
@@ -56,7 +55,7 @@ def reference_greedy(inst):
     ops = 0
 
     candidates = reference_step1(inst)
-    ops += n * (max(m - 1, 0) + 1)
+    ops += n * m
 
     a = np.zeros((n, m), dtype=np.int8)
     for j in range(m):
@@ -169,6 +168,14 @@ def assert_handoffs(inst):
 def test_matches_reference_on_small_instances():
     for seed in range(300):
         assert_matches_reference(oracle_instance(seed))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_matches_reference_without_hubs(n):
+    # an n x 0 table: no cell has a hub to request, and step 1 scans nothing
+    inst = make_instance(np.zeros((n, 0)), np.zeros((n, 0)), [1.0] * n)
+    assert_matches_reference(inst)
+    assert_handoffs(inst)
 
 
 def test_handoffs_on_oracle_instances():
@@ -314,7 +321,6 @@ def test_zero_or_inf_candidate_leaves_the_grid_alone(monkeypatch, value, probed)
     # a zero or inf bandwidth leaves the other hubs' queues certain to fit
     # their caps, so they take their links without a probe; only the hub
     # queueing the inf, whose float total is then inf, probes one by one
-    # with admit
     base = random_instance(0, 3000, 40, tight=True)
     requests = greedy_step1(base)
     i = int(np.flatnonzero(requests)[0])
@@ -324,24 +330,33 @@ def test_zero_or_inf_candidate_leaves_the_grid_alone(monkeypatch, value, probed)
     inst = dataclasses.replace(
         base, link_table=dataclasses.replace(base.link_table, bandwidth_hz=bw))
     assert_matches_reference(inst)
-    calls = []
-    admit = association.admit
-    monkeypatch.setattr(association, "admit",
-                        lambda *args: calls.append(args) or admit(*args))
+    _, probes = spy_exact_route(monkeypatch)
     greedy_step2(inst, requests)
-    assert len(calls) == probed
+    assert len(probes) == probed
     assert probed < np.count_nonzero(requests == j + 1)
 
 
 def spy_exact_route(monkeypatch):
-    """Record step 2's `exact_grid` calls, as (units, scale), and its
-    `admit` calls, as their argument tuples."""
+    """Record the bandwidths step 2 puts on a grid, one list per
+    `bandwidth_probes` call, and the bandwidth of each probe, in order.
+    A probe reads its unit, and reads it again at once when it fits."""
     grids, probes = [], []
-    grid, admit = association.exact_grid, association.admit
-    monkeypatch.setattr(association, "exact_grid",
-                        lambda values: grids.append(grid(values)) or grids[-1])
-    monkeypatch.setattr(association, "admit",
-                        lambda *args: probes.append(args) or admit(*args))
+    bandwidth_probes = association.bandwidth_probes
+
+    def spy(bw, cols, hub_caps):
+        grids.append(bw.tolist())
+        units, rooms = bandwidth_probes(bw, cols, hub_caps)
+        last = [None]
+
+        class Units(list):
+            def __getitem__(self, k):
+                if k != last[0]:
+                    last[0] = k
+                    probes.append(float(bw[k]))
+                return super().__getitem__(k)
+        return Units(units), rooms
+
+    monkeypatch.setattr(association, "bandwidth_probes", spy)
     return grids, probes
 
 
@@ -452,7 +467,7 @@ def test_only_uncertified_hubs_probe_on_urban(monkeypatch, seed):
     assert certified.count(True) == certified.count(False) == 2
     grids, probes = spy_exact_route(monkeypatch)
     greedy_step2(inst, requests)
-    (units, scale), = grids
+    assert len(grids) == 1
     want = [b for j in range(inst.n_hubs) if not certified[j] for b in reference_probes(inst, j)]
     assert want
-    assert [Fraction(u, scale) for _, u, _ in probes] == [Fraction(b) for b in want]
+    assert probes == want

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _builders import make_instance
 from _oracle import enumerate_all
 from skyhaul import harness
 from skyhaul.association import ProblemInstance, check_feasible, solve_greedy
@@ -229,7 +230,7 @@ def edge_instance(data) -> ProblemInstance:
     """Caps of 0, at an exact partial sum or half a unit either side of
     one, and inf; link caps 0..n; thresholds and SINRs of +-inf, NaN SINRs
     and bandwidths."""
-    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 3))
 
     def table(values):
         return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * m,
@@ -252,7 +253,7 @@ def edge_instance(data) -> ProblemInstance:
         backhaul_cap_bps=edge_cap(rates.tolist()),
         hub_bandwidth_caps=np.array([edge_cap(bw[:, j].tolist()) for j in range(m)]),
         hub_link_caps=np.array(data.draw(st.lists(st.integers(0, n), min_size=m,
-                                                  max_size=m))),
+                                                  max_size=m)), dtype=int),
         sinr_min_db=data.draw(st.sampled_from([-math.inf, -5.0, 0.0, math.inf])),
     )
 
@@ -270,6 +271,16 @@ class TestInstanceDomainEdges:
     @settings(max_examples=300, deadline=None)
     def test_greedy_handoffs(self, data):
         assert_handoffs(edge_instance(data))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_no_hubs(self, n):
+        # an n x 0 table: both solvers carry nothing, and the greedy's step
+        # 1 compares no SINR
+        inst = make_instance(np.zeros((n, 0)), np.zeros((n, 0)), [1.0] * n)
+        solved = solve_verified(inst, "both", 0, DEFAULT_NODE_BUDGET)
+        for a, report in solved.values():
+            assert a.shape == (n, 0) and report.feasible
+        assert solved["greedy"][1].op_count == 0
 
 
 class TestSeedSearch:
@@ -323,6 +334,19 @@ class TestCli:
         ini.write_text("[scenario]\ncell_intensity_per_m2 = 0\n")
         assert main(["run", "--config", str(ini), "--out", str(tmp_path / "r")]) == 0
         assert capsys.readouterr().out.startswith("seed 3655: 0 cells, 0 hubs\n")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_naming_a_file_exit_two(self, tmp_path, capsys, command, below):
+        # refused before the pipeline runs, with no directory made
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "r" if below else afile
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
 
     def test_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.ini"
