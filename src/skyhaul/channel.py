@@ -3,8 +3,14 @@
 Line-of-sight probability follows the standard logistic model in the
 elevation angle; mean path loss adds angle-weighted LoS/NLoS excess losses on
 top of free-space loss. SINR treats every hub as a co-channel interferer
-transmitting continuously at full power. Every function here works
+transmitting continuously at full power. The propagation functions work
 elementwise on numpy arrays; a whole cell x hub table is one evaluation.
+
+coverage_radius finds the ground distance at which the loss reaches a
+ceiling. It walks its bracket and bisection by a scalar math-module
+estimate of the loss, then checks every verdict the walk used in one
+path_loss_db call, so its result is the same double as a bisection judging
+each point by path_loss_db.
 
 ChannelParams holds the environment constants that the propagation
 functions take on their own. build_link_table reads the link budget
@@ -36,8 +42,6 @@ MAX_LINK_PAIRS = 10**7
 
 # coverage_radius doubles its bracket from max(h, 1) at most this many times
 BRACKET_DOUBLINGS = 60
-# and judges the midpoints of the next 6 bisection levels in one call
-_SUBTREE_SIZE = 2 ** 6 - 1
 # unit roundoff of np.longdouble and of float64
 _U_LONG = float(np.finfo(np.longdouble).eps) / 2
 _U_DOUBLE = 2.0 ** -53
@@ -207,16 +211,48 @@ def build_link_table(cfg: "ScenarioConfig", layout: "Layout") -> LinkTable:
     return LinkTable(pl_db=pl, sinr_db=sinr_db, spec_eff=spec_eff, bandwidth_hz=bandwidth)
 
 
+def _guide_loss(params: ChannelParams, s: float, h: float) -> float | None:
+    """path_loss_db at one point in math-module floats, or None where a
+    math function overflows or leaves its domain.
+
+    The same formula in the same order, so it mostly agrees with numpy to
+    the last bit; coverage_radius steers by it and checks every verdict it
+    took against path_loss_db.
+    """
+    try:
+        d = math.hypot(h, s)
+        fspl = 10.0 * math.log10(math.pow(4.0 * math.pi * params.carrier_hz * d / LIGHT_SPEED,
+                                          params.pl_exponent))
+        theta_deg = math.degrees(math.atan2(h, s))
+        p = 1.0 / (1.0 + params.alpha * math.exp(-params.beta * (theta_deg - params.alpha)))
+    except (OverflowError, ValueError):
+        return None
+    return fspl + p * params.eta_los_db + (1.0 - p) * params.eta_nlos_db
+
+
 def coverage_radius(params: ChannelParams, h: float, pl_max_db: float) -> float:
     """Horizontal distance at which the path loss reaches `pl_max_db`.
 
-    Solved by bisection on s at fixed altitude h. The root is unique since
-    path_loss_db is strictly increasing in s. The bisection's midpoints are
-    judged a subtree at a time: the next six levels of midpoints below the
-    current bracket go through one path_loss_db call, and the walk
-    then takes the same steps, on the same doubles, as a one-point-at-a-time
-    bisection. A loss that overflows to inf is past any ceiling, and at
-    s = 0 one that underflows to -inf is below it.
+    Solved by bisection on s at fixed altitude h, after doubling a bracket
+    from max(h, 1). The root is unique since path_loss_db is strictly
+    increasing in s. A loss that overflows to inf is past any ceiling, and
+    at s = 0 one that underflows to -inf is below it.
+
+    The result is the double that a one-point-at-a-time bisection judging
+    each point by path_loss_db gives, from two path_loss_db calls in the
+    usual case. The walk (bracket ladder, then bisection) is a function of
+    its verdicts "loss below the ceiling" alone. It takes each verdict from
+    `known`, numpy's verdicts found so far, or else from the scalar
+    `_guide_loss`; then one path_loss_db call judges every point whose
+    verdict was guessed. If every guess was right, the walk was the numpy
+    walk. If not, the numpy verdicts join `known` and the walk is redone.
+
+    Termination: every verdict before a walk's first wrong guess was right,
+    so a redone walk repeats the previous one up to that point and takes
+    numpy's verdict there. The prefix it shares with the numpy walk thus
+    grows by at least one point a round. The numpy walk has at most
+    BRACKET_DOUBLINGS + 200 points, so at most that many rounds find a
+    wrong guess before one finds none, however wrong the guide.
     """
     with np.errstate(divide="ignore"):
         pl0 = path_loss_db(params, 0.0, h)
@@ -227,13 +263,26 @@ def coverage_radius(params: ChannelParams, h: float, pl_max_db: float) -> float:
     if pl0 == pl_max_db:
         return 0.0
 
-    with np.errstate(over="ignore"):
-        ladder = max(h, 1.0) * 2.0 ** np.arange(BRACKET_DOUBLINGS)
-        reached = np.flatnonzero(path_loss_db(params, ladder, h) >= pl_max_db)
-        if len(reached) == 0:
-            raise CoverageError(f"path loss never reaches {pl_max_db:.2f} dB (unbounded bracket)")
-        hi = float(ladder[reached[0]])
+    known: dict[float, bool] = {}
+    guessed: dict[float, bool] = {}
 
+    def below(s: float) -> bool:
+        if s in known:
+            return known[s]
+        if s not in guessed:
+            loss = _guide_loss(params, s, h)
+            guessed[s] = loss is not None and loss < pl_max_db
+        return guessed[s]
+
+    while True:
+        guessed.clear()
+        hi = max(h, 1.0)
+        for _ in range(BRACKET_DOUBLINGS):
+            if not below(hi):
+                break
+            hi *= 2.0
+        else:
+            hi = None
         # Bisect the bracket down to micrometers: stopping once the loss is
         # within a tolerance of the ceiling can leave the answer a meter or
         # so off the root. The loss is continuous and monotone, so at the
@@ -241,23 +290,22 @@ def coverage_radius(params: ChannelParams, h: float, pl_max_db: float) -> float:
         # Past about 8.6e9 m one ulp exceeds a micrometer; once lo and hi are
         # adjacent doubles the midpoint is one of them, and further steps
         # would leave both unchanged.
-        lo, steps, i = 0.0, 0, _SUBTREE_SIZE
-        while steps < 200 and hi - lo > 1e-6 and lo < 0.5 * (lo + hi) < hi:
-            if i >= _SUBTREE_SIZE:
-                # the next subtree below [lo, hi], in heap order: the
-                # children of node i are 2i + 1 (below its midpoint) and
-                # 2i + 2 (above it)
-                bounds, mids = [(lo, hi)], []
-                for a, b in bounds:
-                    mid = 0.5 * (a + b)
-                    mids.append(mid)
-                    if len(bounds) < _SUBTREE_SIZE:
-                        bounds += [(a, mid), (mid, b)]
-                below = (path_loss_db(params, np.array(mids), h) < pl_max_db).tolist()
-                i = 0
-            if below[i]:
-                lo, i = mids[i], 2 * i + 2
+        lo, steps = 0.0, 0
+        while hi is not None and steps < 200 and hi - lo > 1e-6 and lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if below(mid):
+                lo = mid
             else:
-                hi, i = mids[i], 2 * i + 1
+                hi = mid
             steps += 1
+
+        if not guessed:
+            break
+        with np.errstate(over="ignore"):
+            truth = (path_loss_db(params, np.array(list(guessed)), h) < pl_max_db).tolist()
+        known.update(zip(guessed, truth))
+        if truth == list(guessed.values()):
+            break
+    if hi is None:
+        raise CoverageError(f"path loss never reaches {pl_max_db:.2f} dB (unbounded bracket)")
     return 0.5 * (lo + hi)

@@ -12,7 +12,10 @@ columns (x_m, y_m, h_m, rate_bps); cells have h_m 0 and hubs rate_bps 0.
 links.npy is the link table as one (4, n_cells, n_hubs) float64 array, axis
 0 in LinkTable field order (pl_db, sinr_db, spec_eff, bandwidth_hz). Every
 file but timing.json is byte-stable for a fixed (config, seed); wall-clock
-numbers are quarantined there so rerunning never perturbs the rest.
+numbers are quarantined there so rerunning never perturbs the rest. Each
+file is built in memory and written at once; a run into a directory that
+holds another run's files removes the CSVs of the methods it did not
+solve.
 """
 
 import csv
@@ -20,6 +23,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +41,9 @@ from .geometry import DrawSizeError, HardCoreSpec, matern_type1
 from .instances import random_instance
 from .report import SolveReport
 from .units import RNG_ALGORITHM, Seed, make_rng, sub_seed
+
+# the solvers, in the order "both" runs them
+METHODS = ("greedy", "exact")
 
 # sub-stream indices off the master seed
 _STREAM_CELLS = 0
@@ -186,7 +193,7 @@ def solve_verified(inst: ProblemInstance, solver: str, seed: Seed,
     have checked `solver` against SOLVER_CHOICES.
     """
     solved = {}
-    for method in ("greedy", "exact") if solver == "both" else (solver,):
+    for method in METHODS if solver == "both" else (solver,):
         if method == "greedy":
             a, report = solve_greedy(inst)
         else:
@@ -299,27 +306,39 @@ def complexity_sweep(seed: int, sizes=(10, 25, 50, 100, 200), *,
 # ---------------------------------------------------------------------------
 # artifact writers
 
+def _write_bytes(path: Path, data: bytes):
+    """Create or truncate `path` and write `data` to it in one os.write,
+    repeated only on a short write."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
 
 def _write_csv(path: Path, header: list[str], rows):
-    """Header, then the rows, in one write. Values must be Python scalars:
-    csv writes floats through repr, so they round-trip, and None as an empty
-    field."""
+    """Header, then the rows. Values must be Python scalars: csv writes
+    floats through repr, so they round-trip, and None as an empty field."""
     text = io.StringIO()
     w = csv.writer(text, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)
-    path.write_text(text.getvalue(), newline="")
+    _write_bytes(path, text.getvalue().encode())
 
 
-def _layout_array(layout: Layout) -> np.ndarray:
-    """The cells, then the hubs, as rows (x_m, y_m, h_m, rate_bps): cells
-    sit at h_m 0 and hubs carry rate_bps 0."""
-    n = len(layout.cells)
-    rows = np.zeros((n + len(layout.hubs), 4))
-    rows[:n, :2] = layout.cells
-    rows[:n, 3] = layout.rates
-    rows[n:, :3] = layout.hubs
-    return rows
+def _npy_file(shape: tuple[int, ...]) -> tuple[bytearray, np.ndarray]:
+    """The bytes np.save(..., allow_pickle=False) writes for a float64 array
+    of zeros of `shape`, and that array as a view into them to fill in: the
+    file takes no copy of its data beyond the one that fills it."""
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        head, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    n_head = head.tell()
+    data = bytearray(n_head + 8 * math.prod(shape))
+    data[:n_head] = head.getbuffer()
+    return data, np.frombuffer(data, "<f8", offset=n_head).reshape(shape)
 
 
 def write_assoc_csv(path: Path, a: AssociationMatrix):
@@ -370,27 +389,46 @@ def _derived_block(prepared: PreparedScenario) -> dict:
 
 
 def write_summary(path: Path, cfg: ScenarioConfig, derived: dict):
+    """The config's fields, `derived` and the RNG algorithm id as sorted,
+    indented JSON. The config is a shallow field dict: its values are
+    scalars and the rate tuple, which json writes as a list."""
     payload = {
-        "config": dataclasses.asdict(cfg),
+        "config": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
         "derived": derived,
         "rng_algorithm": RNG_ALGORITHM,
     }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_bytes(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
 def write_run_artifacts(out_dir: Path, result: RunResult):
+    """Write a run's artifacts into `out_dir`, replacing any of the same
+    name, and remove the assoc and report CSVs of the methods this run did
+    not solve, so that no file of another run is left beside them."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    np.save(out_dir / "layout.npy", _layout_array(result.prepared.layout),
-            allow_pickle=False)
+    # layout.npy: the cells, then the hubs, as rows (x_m, y_m, h_m,
+    # rate_bps); cells sit at h_m 0 and hubs carry rate_bps 0
+    layout = result.prepared.layout
+    n = len(layout.cells)
+    data, rows = _npy_file((n + len(layout.hubs), 4))
+    rows[:n, :2] = layout.cells
+    rows[:n, 3] = layout.rates
+    rows[n:, :3] = layout.hubs
+    _write_bytes(out_dir / "layout.npy", data)
     table = result.prepared.instance.link_table
-    np.save(out_dir / "links.npy", np.stack([table.pl_db, table.sinr_db,
-                                             table.spec_eff, table.bandwidth_hz]),
-            allow_pickle=False)
-    for method, a in result.matrices.items():
-        write_assoc_csv(out_dir / f"assoc_{method}.csv", a)
-        write_report_csv(out_dir / f"report_{method}.csv", result.reports[method])
+    data, stacked = _npy_file((4, *table.pl_db.shape))
+    for k, field in enumerate((table.pl_db, table.sinr_db, table.spec_eff, table.bandwidth_hz)):
+        stacked[k] = field
+    _write_bytes(out_dir / "links.npy", data)
+    for method in METHODS:
+        assoc, report = out_dir / f"assoc_{method}.csv", out_dir / f"report_{method}.csv"
+        if method in result.matrices:
+            write_assoc_csv(assoc, result.matrices[method])
+            write_report_csv(report, result.reports[method])
+        else:
+            assoc.unlink(missing_ok=True)
+            report.unlink(missing_ok=True)
     derived = _derived_block(result.prepared)
     derived["constraints"] = result.constraints
     write_summary(out_dir / "summary.json", result.prepared.cfg, derived)
     wall = {m: r.wall_time_s for m, r in result.reports.items()}
-    (out_dir / "timing.json").write_text(json.dumps({"wall_time_s": wall}) + "\n")
+    _write_bytes(out_dir / "timing.json", (json.dumps({"wall_time_s": wall}) + "\n").encode())

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import make_layout
+from skyhaul import channel
 from skyhaul.channel import (BRACKET_DOUBLINGS, LIGHT_SPEED, ChannelParams,
                              CoverageError, build_link_table, coverage_radius,
                              p_los, path_loss_db, row_fsum)
@@ -398,8 +399,8 @@ def grid_scan_radius(params, h, pl_max_db):
 
 def scalar_coverage_radius(params, h, pl_max_db):
     """One path_loss_db call per bracket doubling and per bisection step:
-    the oracle for the vectorised bracket and the subtree-at-a-time
-    bisection."""
+    the oracle for coverage_radius's guided walk and its one checking
+    call."""
 
     def pl(s):
         return path_loss_db(params, s, h)
@@ -430,6 +431,17 @@ def scalar_coverage_radius(params, h, pl_max_db):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def spy_path_loss(monkeypatch) -> list:
+    """Record the arguments of every path_loss_db call coverage_radius makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return path_loss_db(*args)
+    monkeypatch.setattr(channel, "path_loss_db", counted)
+    return calls
 
 
 def outcome(radius, *args):
@@ -483,18 +495,43 @@ class TestCoverageRadius:
     def test_huge_radius_stops_once_bounds_are_adjacent(self, monkeypatch):
         # one ulp of a 1.25e11 m radius exceeds the 1e-6 m stop, so the
         # bisection ends when its midpoint is lo or hi: the overhead loss,
-        # the bracket ladder and nine subtrees of six levels each
+        # then one call checking every verdict of the guided walk
         params = CASE_STUDY.channel
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return path_loss_db(*args)
-        monkeypatch.setattr("skyhaul.channel.path_loss_db", counted)
+        calls = spy_path_loss(monkeypatch)
         r = coverage_radius(params, 300.0, 280.0)
-        assert len(calls) <= 12
+        assert len(calls) <= 2
         assert r == 125132683854.75357
         assert r == scalar_coverage_radius(params, 300.0, 280.0)
+
+    @pytest.mark.parametrize("cfg", [CASE_STUDY, DENSE], ids=["table1-urban", "dense-field"])
+    def test_two_path_loss_calls(self, monkeypatch, cfg):
+        # the overhead loss, then one call that finds every guided verdict
+        # right
+        calls = spy_path_loss(monkeypatch)
+        r = coverage_radius(cfg.channel, cfg.hub_altitude_m, cfg.pl_max_db)
+        assert len(calls) <= 2
+        assert r == scalar_coverage_radius(cfg.channel, cfg.hub_altitude_m, cfg.pl_max_db)
+
+    @pytest.mark.parametrize("guide", [
+        lambda loss: loss + 0.5, lambda loss: loss - 0.5, lambda loss: loss * (1 + 1e-15),
+        lambda loss: 0.0, lambda loss: 1e300, lambda loss: None],
+        ids=["plus-half-db", "minus-half-db", "few-ulps-up", "zero", "huge", "none"])
+    @given(channel_params(), st.floats(1e-3, 1e5), st.floats(-20.0, 800.0))
+    @settings(max_examples=100, deadline=None)
+    def test_wrong_guide_still_gives_the_scalar_bisection(self, guide, params, h, offset):
+        # the guide only steers: every verdict the walk used is checked
+        # against path_loss_db, and a wrong one is corrected and walked again
+        ceiling = float(path_loss_db(params, 0.0, h)) + offset
+        with np.errstate(over="ignore"):
+            expected = outcome(scalar_coverage_radius, params, h, ceiling)
+        honest = channel._guide_loss
+
+        def wrong(*args):
+            loss = honest(*args)
+            return None if loss is None else guide(loss)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "_guide_loss", wrong)
+            assert outcome(coverage_radius, params, h, ceiling) == expected
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_altitude_is_silent_and_matches_scalar_bisection(self):

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -165,6 +167,94 @@ class TestRunScenario:
         assert payload["config"]["pl_max_db"] == 110.0
         assert payload["derived"]["n_cells"] == 28
         assert payload["derived"]["n_hubs"] == 4
+
+
+def reference_bytes(result) -> dict[str, bytes]:
+    """The deterministic artifacts of a run as np.save, the csv module and
+    json.dumps of the dataclasses.asdict config write them."""
+    def npy(array):
+        buf = io.BytesIO()
+        np.save(buf, array, allow_pickle=False)
+        return buf.getvalue()
+
+    def csv_text(header, rows):
+        text = io.StringIO()
+        w = csv.writer(text, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        return text.getvalue().encode()
+
+    prepared = result.prepared
+    layout, table = prepared.layout, prepared.instance.link_table
+    n, m = len(layout.cells), len(layout.hubs)
+    rows = np.zeros((n + m, 4))
+    rows[:n, :2], rows[:n, 3], rows[n:, :3] = layout.cells, layout.rates, layout.hubs
+    out = {"layout.npy": npy(rows),
+           "links.npy": npy(np.stack([table.pl_db, table.sinr_db,
+                                      table.spec_eff, table.bandwidth_hz]))}
+    for method, a in result.matrices.items():
+        r = result.reports[method]
+        out[f"assoc_{method}.csv"] = csv_text(["cell", "hub"], np.argwhere(a).tolist())
+        out[f"report_{method}.csv"] = csv_text(harness.REPORT_FIELDS, [[
+            r.method, r.sum_rate_bps, r.n_associated,
+            ";".join(str(k) for k in r.per_hub_links), r.hubs_in_use,
+            r.feasible, r.op_count, r.node_count, r.rng_algorithm, r.seed]])
+    derived = {"n_cells": n, "n_hubs": m}
+    if prepared.fleet is not None:
+        derived.update(per_hub_cell_cap=prepared.fleet.per_hub_cell_cap,
+                       avg_bandwidth_hz=prepared.fleet.avg_bandwidth_hz,
+                       hub_min_sep_m=prepared.fleet.hub_min_sep_m,
+                       hub_altitude_m=prepared.cfg.hub_altitude_m)
+    derived["constraints"] = result.constraints
+    out["summary.json"] = reference_summary(prepared.cfg, derived)
+    return out
+
+
+def reference_summary(cfg, derived) -> bytes:
+    payload = {"config": dataclasses.asdict(cfg), "derived": derived,
+               "rng_algorithm": "numpy-pcg64"}
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+class TestArtifactBytes:
+    """Each file built in memory and written at once holds the bytes that
+    np.save, the csv module and json.dumps of dataclasses.asdict write."""
+
+    @pytest.mark.parametrize("cfg, constraints", [
+        (CASE_STUDY, "all"), (EMPTY, "all"), (CASE_STUDY, "qos-only"),
+        (DENSE, "all")], ids=["case-study", "empty-layout", "qos-only", "dense-field"])
+    def test_run_artifacts_match_the_reference_writers(self, tmp_path, cfg, constraints):
+        result = run_scenario(cfg, tmp_path, constraints=constraints)
+        expected = reference_bytes(result)
+        assert {p.name for p in tmp_path.iterdir()} == {*expected, "timing.json"}
+        for name, data in expected.items():
+            assert (tmp_path / name).read_bytes() == data, name
+        wall = {m: r.wall_time_s for m, r in result.reports.items()}
+        assert (tmp_path / "timing.json").read_bytes() == \
+            (json.dumps({"wall_time_s": wall}) + "\n").encode()
+
+    def test_sweep_summary_matches_the_reference_writer(self, tmp_path):
+        rows = sweep_constraints(CASE_STUDY, tmp_path)
+        prepared = prepare_scenario(CASE_STUDY)
+        derived = {"n_cells": 28, "n_hubs": 4,
+                   "per_hub_cell_cap": prepared.fleet.per_hub_cell_cap,
+                   "avg_bandwidth_hz": prepared.fleet.avg_bandwidth_hz,
+                   "hub_min_sep_m": prepared.fleet.hub_min_sep_m,
+                   "hub_altitude_m": CASE_STUDY.hub_altitude_m}
+        assert (tmp_path / "summary.json").read_bytes() == \
+            reference_summary(CASE_STUDY, derived)
+        fields = ["constraints", "method", "n_associated", "sum_rate_bps", "violates_full"]
+        text = io.StringIO()
+        w = csv.DictWriter(text, fields, lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
+        assert (tmp_path / "sweep.csv").read_bytes() == text.getvalue().encode()
+
+    def test_rewrite_replaces_a_longer_file(self, tmp_path):
+        run_scenario(CASE_STUDY, tmp_path, solver="greedy")
+        (tmp_path / "summary.json").write_text("x" * 100_000)
+        result = run_scenario(CASE_STUDY, tmp_path, solver="greedy")
+        assert (tmp_path / "summary.json").read_bytes() == reference_bytes(result)["summary.json"]
 
 
 class TestSweep:
@@ -476,6 +566,21 @@ class TestCli:
     def test_seed_search_not_found_exit_three(self):
         assert main(["seed-search", "--target", "9999",
                      "--max-seeds", "20"]) == 3
+
+    def test_rerun_into_the_same_out_leaves_no_file_of_the_first_run(self, tmp_path):
+        # a greedy-only rerun once kept seed 3655's exact CSVs beside seed
+        # 5's summary.json; files the writer never makes stay
+        out = tmp_path / "r"
+        assert main(["run", "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("mine")
+        (out / "assoc_other.csv").write_text("mine")
+        assert main(["run", "--solver", "greedy", "--seed", "5", "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == {
+            "layout.npy", "links.npy", "assoc_greedy.csv", "report_greedy.csv",
+            "summary.json", "timing.json", "notes.txt", "assoc_other.csv"}
+        assert json.loads((out / "summary.json").read_text())["config"]["seed"] == 5
+        assert (out / "report_greedy.csv").read_text().splitlines()[1].endswith(",5")
+        assert (out / "notes.txt").read_text() == "mine"
 
     def test_node_budget_exit_four(self, tmp_path):
         assert main(["run", "--out", str(tmp_path), "--solver", "exact",
