@@ -252,12 +252,11 @@ def _check_dims(inst: ProblemInstance, a: AssociationMatrix):
 def _links(a: AssociationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and flat row-major indices of the set entries, in
     row-major order, as np.nonzero and np.flatnonzero give them at several
-    times the cost. The columns come in the smallest unsigned dtype that
-    holds them, so that sorts keyed on them run as radix sorts."""
+    times the cost."""
     # flatnonzero's own work, without its Python wrapper
     flat = (a != 0).ravel().nonzero()[0]
     rows, cols = np.divmod(flat, a.shape[1])
-    return rows, cols.astype(np.min_scalar_type(a.shape[1])), flat
+    return rows, cols, flat
 
 
 def _rate_total(inst: ProblemInstance, rows: np.ndarray) -> int:

@@ -7,10 +7,11 @@ transmitting continuously at full power. The propagation functions work
 elementwise on numpy arrays; a whole cell x hub table is one evaluation.
 
 coverage_radius finds the ground distance at which the loss reaches a
-ceiling. It walks its bracket and bisection by a scalar math-module
-estimate of the loss, then checks every verdict the walk used in one
-path_loss_db call, so its result is the same double as a bisection judging
-each point by path_loss_db.
+ceiling by one walk, a bracket ladder and then a bisection. The walk is
+steered by a scalar math-module estimate of the loss, and one path_loss_db
+call then checks every point it visited. Only if a guess was wrong does the
+walk run again, judging each point by its own path_loss_db call; either
+way the result is that plain walk's double.
 
 ChannelParams holds the environment constants that the propagation
 functions take on their own. build_link_table reads the link budget
@@ -230,29 +231,50 @@ def _guide_loss(params: ChannelParams, s: float, h: float) -> float | None:
     return fspl + p * params.eta_los_db + (1.0 - p) * params.eta_nlos_db
 
 
+def _bisect(below, h: float) -> float | None:
+    """The coverage-radius walk, judging each point by `below(s)`, "the loss
+    at s is below the ceiling": the final midpoint, or None when the bracket
+    ladder never passes the ceiling."""
+    hi = max(h, 1.0)
+    for _ in range(BRACKET_DOUBLINGS):
+        if not below(hi):
+            break
+        hi *= 2.0
+    else:
+        return None
+    # Bisect the bracket down to micrometers: stopping once the loss is
+    # within a tolerance of the ceiling can leave the answer a meter or so
+    # off the root. The loss is continuous and monotone, so at the midpoint
+    # it is within a micrometer's worth of slope of the ceiling. Past about
+    # 8.6e9 m one ulp exceeds a micrometer; once lo and hi are adjacent
+    # doubles the midpoint is one of them, and further steps would leave
+    # both unchanged.
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not (hi - lo > 1e-6 and lo < mid < hi):
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def coverage_radius(params: ChannelParams, h: float, pl_max_db: float) -> float:
     """Horizontal distance at which the path loss reaches `pl_max_db`.
 
     Solved by bisection on s at fixed altitude h, after doubling a bracket
-    from max(h, 1). The root is unique since path_loss_db is strictly
-    increasing in s. A loss that overflows to inf is past any ceiling, and
-    at s = 0 one that underflows to -inf is below it.
+    from max(h, 1) (`_bisect`). The root is unique since path_loss_db is
+    strictly increasing in s. A loss that overflows to inf is past any
+    ceiling, and at s = 0 one that underflows to -inf is below it.
 
-    The result is the double that a one-point-at-a-time bisection judging
-    each point by path_loss_db gives, from two path_loss_db calls in the
-    usual case. The walk (bracket ladder, then bisection) is a function of
-    its verdicts "loss below the ceiling" alone. It takes each verdict from
-    `known`, numpy's verdicts found so far, or else from the scalar
-    `_guide_loss`; then one path_loss_db call judges every point whose
-    verdict was guessed. If every guess was right, the walk was the numpy
-    walk. If not, the numpy verdicts join `known` and the walk is redone.
-
-    Termination: every verdict before a walk's first wrong guess was right,
-    so a redone walk repeats the previous one up to that point and takes
-    numpy's verdict there. The prefix it shares with the numpy walk thus
-    grows by at least one point a round. The numpy walk has at most
-    BRACKET_DOUBLINGS + 200 points, so at most that many rounds find a
-    wrong guess before one finds none, however wrong the guide.
+    The result is the double of the plain walk, which judges each point by
+    its own path_loss_db call. The walk is a function of its verdicts
+    alone, so it first runs on the scalar `_guide_loss`'s verdicts, and one
+    path_loss_db call then judges every point that walk visited. If every
+    guess was right, the guided walk was the plain walk: two path_loss_db
+    calls in all. If any was wrong, the plain walk runs.
     """
     with np.errstate(divide="ignore"):
         pl0 = path_loss_db(params, 0.0, h)
@@ -263,49 +285,18 @@ def coverage_radius(params: ChannelParams, h: float, pl_max_db: float) -> float:
     if pl0 == pl_max_db:
         return 0.0
 
-    known: dict[float, bool] = {}
     guessed: dict[float, bool] = {}
 
-    def below(s: float) -> bool:
-        if s in known:
-            return known[s]
-        if s not in guessed:
-            loss = _guide_loss(params, s, h)
-            guessed[s] = loss is not None and loss < pl_max_db
+    def guess(s: float) -> bool:
+        loss = _guide_loss(params, s, h)
+        guessed[s] = loss is not None and loss < pl_max_db
         return guessed[s]
 
-    while True:
-        guessed.clear()
-        hi = max(h, 1.0)
-        for _ in range(BRACKET_DOUBLINGS):
-            if not below(hi):
-                break
-            hi *= 2.0
-        else:
-            hi = None
-        # Bisect the bracket down to micrometers: stopping once the loss is
-        # within a tolerance of the ceiling can leave the answer a meter or
-        # so off the root. The loss is continuous and monotone, so at the
-        # midpoint it is within a micrometer's worth of slope of the ceiling.
-        # Past about 8.6e9 m one ulp exceeds a micrometer; once lo and hi are
-        # adjacent doubles the midpoint is one of them, and further steps
-        # would leave both unchanged.
-        lo, steps = 0.0, 0
-        while hi is not None and steps < 200 and hi - lo > 1e-6 and lo < 0.5 * (lo + hi) < hi:
-            mid = 0.5 * (lo + hi)
-            if below(mid):
-                lo = mid
-            else:
-                hi = mid
-            steps += 1
-
-        if not guessed:
-            break
-        with np.errstate(over="ignore"):
-            truth = (path_loss_db(params, np.array(list(guessed)), h) < pl_max_db).tolist()
-        known.update(zip(guessed, truth))
-        if truth == list(guessed.values()):
-            break
-    if hi is None:
+    radius = _bisect(guess, h)
+    with np.errstate(over="ignore"):
+        truth = path_loss_db(params, np.array(list(guessed)), h) < pl_max_db
+        if truth.tolist() != list(guessed.values()):
+            radius = _bisect(lambda s: path_loss_db(params, s, h) < pl_max_db, h)
+    if radius is None:
         raise CoverageError(f"path loss never reaches {pl_max_db:.2f} dB (unbounded bracket)")
-    return 0.5 * (lo + hi)
+    return radius

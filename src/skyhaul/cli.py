@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="solve under qos-only and all constraints")
     _add_common(sweep)
     sweep.add_argument("--out", required=True, metavar="DIR", type=_out_dir)
-    sweep.add_argument("--solver", choices=SOLVER_CHOICES, default="both")
+    sweep.add_argument("--solver", choices=SOLVER_CHOICES,
+                       help="which solver(s) to run (default from config)")
 
     search = sub.add_parser("seed-search",
                             help="find a master seed with a given cell count")

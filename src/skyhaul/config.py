@@ -163,10 +163,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Read a scenario from an INI file.
 
     The file must contain a [scenario] section, each of whose keys overrides
-    one dataclass field. Unknown keys and malformed values raise ConfigError.
+    one dataclass field. A file the INI parser rejects, unknown keys and
+    malformed values raise ConfigError. No field uses % interpolation, so a
+    % is read literally.
     """
-    parser = configparser.ConfigParser()
-    loaded = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        loaded = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not loaded:
         raise ConfigError(f"cannot read config file: {path}")
     if "scenario" not in parser:

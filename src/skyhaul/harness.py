@@ -84,11 +84,12 @@ def _too_large(cfg: ScenarioConfig, draw: str, exc: DrawSizeError) -> ConfigErro
                        f"on area_side_m = {cfg.area_side_m!r} is too large: {exc}")
 
 
-def draw_cells(cfg: ScenarioConfig) -> np.ndarray:
+def draw_cells(cfg: ScenarioConfig, seed: int) -> np.ndarray:
+    """The cell draw of `cfg`'s point process under master seed `seed`."""
     spec = HardCoreSpec(cfg.area_side_m, cfg.cell_intensity_per_m2,
                         cfg.cell_min_sep_m)
     try:
-        return matern_type1(spec, sub_seed(cfg.seed, _STREAM_CELLS))
+        return matern_type1(spec, sub_seed(seed, _STREAM_CELLS))
     except DrawSizeError as exc:
         raise _too_large(cfg, f"the cell draw with cell_min_sep_m = "
                               f"{cfg.cell_min_sep_m!r}", exc) from exc
@@ -119,7 +120,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
     An empty cell draw short-circuits into an empty layout with no hubs; it
     is a valid scenario that every downstream stage handles.
     """
-    cells = draw_cells(cfg)
+    cells = draw_cells(cfg, cfg.seed)
     if len(cells) == 0:
         return _empty_prepared(cfg)
     rates = draw_rates(cfg, len(cells))
@@ -236,7 +237,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
 
 
 def sweep_constraints(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
-                      solver: str = "both",
+                      solver: str | None = None,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> list[dict]:
     """Solve one instance under the qos-only subset and the full set.
 
@@ -245,8 +246,10 @@ def sweep_constraints(cfg: ScenarioConfig, out_dir: str | Path | None = None, *,
     relaxed solutions typically break the backhaul or bandwidth caps, which
     is the point of the comparison. Only the qos-only rows are judged
     against the full set; `solve_verified` refuses any violation in the rest.
-    A solver outside SOLVER_CHOICES raises ValueError before any stage runs.
+    `solver` defaults to the config's. A solver outside SOLVER_CHOICES
+    raises ValueError before any stage runs.
     """
+    solver = solver or cfg.solver
     _check_choice("solver", solver, SOLVER_CHOICES)
     prepared = prepare_scenario(cfg)
     full = prepared.instance
@@ -276,14 +279,8 @@ def seed_search(cfg: ScenarioConfig, target_n_cells: int, max_seeds: int,
                 start: int = 0) -> int:
     """Scan master seeds (ascending from `start`) until the cell draw has
     exactly `target_n_cells` points; returns the first matching seed."""
-    spec = HardCoreSpec(cfg.area_side_m, cfg.cell_intensity_per_m2,
-                        cfg.cell_min_sep_m)
     for seed in range(start, start + max_seeds):
-        try:
-            cells = matern_type1(spec, sub_seed(seed, _STREAM_CELLS))
-        except DrawSizeError as exc:
-            raise _too_large(cfg, "the cell draw", exc) from exc
-        if len(cells) == target_n_cells:
+        if len(draw_cells(cfg, seed)) == target_n_cells:
             return seed
     raise SeedSearchError(
         f"no seed in [{start}, {start + max_seeds}) yields {target_n_cells} cells")

@@ -213,8 +213,6 @@ class TestLinks:
         assert rows.tolist() == want_rows.tolist()
         assert cols.tolist() == want_cols.tolist()
         assert flat.tolist() == np.flatnonzero(a).tolist()
-        # the smallest unsigned dtype, so that sorts on the columns are radix sorts
-        assert cols.dtype == np.min_scalar_type(m)
 
 
 # doubles from 1e-300 to 1e300, subnormals as whole multiples of the

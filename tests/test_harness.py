@@ -57,7 +57,7 @@ class TestPrepare:
     @settings(max_examples=20, deadline=None)
     def test_deterministic_draws(self, seed):
         cfg = dataclasses.replace(CASE_STUDY, seed=seed)
-        assert np.array_equal(draw_cells(cfg), draw_cells(cfg))
+        assert np.array_equal(draw_cells(cfg, seed), draw_cells(cfg, seed))
         drawn = draw_rates(cfg, 10)
         assert (drawn == draw_rates(cfg, 10)).all()
 
@@ -385,7 +385,7 @@ class TestSeedSearch:
     def test_found_seed_reproduces_count(self):
         seed = seed_search(CASE_STUDY, 28, 5_000)
         cfg = dataclasses.replace(CASE_STUDY, seed=seed)
-        assert len(draw_cells(cfg)) == 28
+        assert len(draw_cells(cfg, cfg.seed)) == 28
 
     def test_start_offset_respected(self):
         seed = seed_search(CASE_STUDY, 28, 5_000, start=100)
@@ -437,6 +437,22 @@ class TestCli:
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
+
+    @pytest.mark.parametrize("content, named", [
+        (b"[scenario]\nseed = 1\nseed = 2\n", "bad.ini"),  # a duplicate key
+        (b"seed = 1\n", "bad.ini"),  # no section header
+        (b"[scenario]\nseed\n", "bad.ini"),  # a key with no value
+        # read literally, not interpolated: the field's parse refuses it
+        (b"[scenario]\nrate_menu_bps = %(x)s\n", "rate_menu_bps"),
+        (b"\xff\xfe[scen", "bad.ini"),  # not text
+    ], ids=["duplicate-key", "no-section", "no-value", "percent", "not-text"])
+    def test_malformed_file_exit_two(self, tmp_path, capsys, content, named):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(content)
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
 
     def test_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -590,6 +606,22 @@ class TestCli:
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out)]) == 0
         assert (out / "sweep.csv").exists()
+
+    def test_sweep_takes_the_solver_from_the_config(self, tmp_path, capsys):
+        # as run does; the option, when given, still wins
+        ini = tmp_path / "greedy.ini"
+        ini.write_text("[scenario]\nsolver = greedy\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(ini), "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["constraints"], r["method"]) for r in rows] == [
+            ("qos-only", "greedy"), ("all", "greedy")]
+        assert " exact:" not in capsys.readouterr().out
+        assert main(["sweep", "--config", str(ini), "--solver", "exact",
+                     "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as f:
+            assert [r["method"] for r in csv.DictReader(f)] == ["exact", "exact"]
 
     def test_seed_override(self, tmp_path, capsys):
         assert main(["seed-search", "--target", "28", "--max-seeds", "1",
